@@ -24,16 +24,20 @@ class Dyadic:
     return fresh values. Equality and ordering are exact.
     """
 
+    __slots__ = ("numerator", "exponent")
+
     def __init__(self, numerator: int, exponent: int = 0):
         if exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {exponent}")
         if numerator == 0:
             exponent = 0
-        else:
-            # strip common factors of two
-            while exponent > 0 and numerator % 2 == 0:
-                numerator //= 2
-                exponent -= 1
+        elif exponent and not numerator & 1:
+            # strip every common factor of two in one shift
+            shift = (numerator & -numerator).bit_length() - 1
+            if shift > exponent:
+                shift = exponent
+            numerator >>= shift
+            exponent -= shift
         self.numerator = numerator
         self.exponent = exponent
 

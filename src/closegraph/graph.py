@@ -15,6 +15,7 @@ from .dyadic import Dyadic
 
 __all__ = [
     "UNREACHABLE",
+    "MAX_ORDER",
     "Graph",
     "ClosenessReport",
     "bfs_distances",
@@ -26,6 +27,11 @@ __all__ = [
 ]
 
 UNREACHABLE = -1
+
+# Largest order an edge-list header may declare. Every declared vertex
+# costs about 350 bytes before any edge is read, and all-pairs closeness
+# in pure Python is far out of reach long before this size.
+MAX_ORDER = 100_000
 
 
 class Graph:
@@ -188,6 +194,11 @@ def parse_edgelist(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: negative count in header")
+            if a > MAX_ORDER:
+                raise ValueError(
+                    f"line {lineno}: header declares {a} vertices, more than "
+                    f"the limit of {MAX_ORDER}"
+                )
             header = (a, b)
             header_line = lineno
             continue

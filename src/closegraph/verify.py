@@ -434,6 +434,21 @@ def build_tasks(
     return tasks
 
 
+def _worker_count(jobs: int | None, tasks: int) -> int:
+    """Validate jobs (default: CLOSEGRAPH_JOBS, else 1) and clamp it to the
+    core count and the number of tasks."""
+    name = "jobs"
+    if jobs is None:
+        name, raw = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR, "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{name} must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def run_all(
     window: SweepWindow | None = None,
     seed: int = DEFAULT_SEED,
@@ -443,15 +458,16 @@ def run_all(
 ) -> list[VerificationRecord]:
     """Run every sweep and return records in deterministic order.
 
-    jobs defaults to the CLOSEGRAPH_JOBS environment variable (or 1).
-    The record order does not depend on the parallelism degree.
+    jobs defaults to the CLOSEGRAPH_JOBS environment variable (or 1); a
+    value that is not an integer >= 1 raises ValueError. At most one
+    worker per core and per task is started. The record order does not
+    depend on the parallelism degree.
     """
     if window is None:
         window = SweepWindow()
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
     tasks = build_tasks(window, seed, families, experiment_min_degree)
-    if jobs > 1 and len(tasks) > 1:
+    jobs = _worker_count(jobs, len(tasks))
+    if jobs > 1:
         chunk = max(1, len(tasks) // (jobs * 8))
         with multiprocessing.Pool(jobs) as pool:
             grouped = pool.map(_eval_task, tasks, chunksize=chunk)

@@ -138,6 +138,22 @@ def test_vuln_text_and_json(tmp_path, capsys):
     assert payload["value"] == "1/2^0"
 
 
+def test_oversized_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    path.write_text("100000000 0\n")
+    code, _, err = run(capsys, "closeness", "-i", str(path))
+    assert code == 2
+    assert "line 1: header declares 100000000 vertices" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_verify_bad_jobs_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CLOSEGRAPH_JOBS", value)
+    code, _, err = run(capsys, "verify", "--family", "cycle", "-o", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: CLOSEGRAPH_JOBS must be")
+
+
 def test_verify_small_window(tmp_path, capsys):
     out_dir = tmp_path / "records"
     code, out, _ = run(

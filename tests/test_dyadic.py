@@ -69,6 +69,20 @@ def test_float_is_approximate_rendering():
     assert float(big) > 0
 
 
+def test_long_runs_of_trailing_zeros_normalize_exactly():
+    # stripped in one shift, not one bit at a time
+    d = Dyadic(3 << 200_000, 200_005)
+    assert (d.numerator, d.exponent) == (3, 5)
+    # the strip stops at the exponent; the rest stays in the numerator
+    d = Dyadic(-5 << 200_000, 100_000)
+    assert (d.numerator, d.exponent) == (-5 << 100_000, 0)
+    assert Dyadic(1 << 200_000, 200_000) == Dyadic(1)
+
+
+def test_slots_leave_no_instance_dict():
+    assert not hasattr(Dyadic(3, 1), "__dict__")
+
+
 nums = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 exps = st.integers(min_value=0, max_value=30)
 

@@ -1,11 +1,14 @@
 """Graph core: BFS, exact closeness, edge-list format."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closegraph.dyadic import Dyadic
 from closegraph.graph import (
+    MAX_ORDER,
     UNREACHABLE,
     Graph,
     bfs_distances,
@@ -199,6 +202,19 @@ def test_edgelist_errors_carry_line_numbers(text, fragment):
         except ValueError as exc:
             assert fragment in str(exc)
             raise
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 100_000_000])
+def test_header_order_capped_before_allocating(order):
+    text = f"# header only\n{order} 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"line 2: header declares {order} vertices"):
+            parse_edgelist(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @settings(max_examples=60, deadline=None)

@@ -78,6 +78,76 @@ def test_jobs_env_var_honored(small_records, monkeypatch):
     assert [r.to_row() for r in records] == [r.to_row() for r in small_records]
 
 
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count it was
+    asked for and maps in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return list(map(fn, items))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    return _RecordingPool
+
+
+def test_jobs_clamped_to_cores_and_tasks(small_records, recording_pool, monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    records = run_all(window=SMALL, seed=99, jobs=10_000)
+    assert recording_pool.sizes == [3]
+    assert [r.to_row() for r in records] == [r.to_row() for r in small_records]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+    tasks = build_tasks(SMALL, seed=99, families={"cycle"})
+    run_all(window=SMALL, seed=99, families={"cycle"}, jobs=10_000)
+    assert recording_pool.sizes == [3, len(tasks)]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_all(window=SMALL, seed=99, families={"cycle"}, jobs=4)
+    assert recording_pool.sizes == [3, len(tasks)]  # one core: serial
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "CLOSEGRAPH_JOBS must be an integer, got 'abc'"),
+        ("2.5", "CLOSEGRAPH_JOBS must be an integer"),
+        ("", "CLOSEGRAPH_JOBS must be an integer"),
+        ("0", "CLOSEGRAPH_JOBS must be at least 1, got 0"),
+        ("-3", "CLOSEGRAPH_JOBS must be at least 1, got -3"),
+    ],
+)
+def test_bad_jobs_env_var_rejected(value, message, recording_pool, monkeypatch):
+    from closegraph.verify import JOBS_ENV_VAR
+
+    monkeypatch.setenv(JOBS_ENV_VAR, value)
+    with pytest.raises(ValueError, match=message):
+        run_all(window=SMALL, seed=99, families={"cycle"})
+    assert recording_pool.sizes == []
+
+
+def test_jobs_argument_below_one_rejected():
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        run_all(window=SMALL, seed=99, families={"cycle"}, jobs=0)
+
+
 def test_family_filter():
     records = run_all(window=SMALL, seed=99, families={"cycle"})
     kinds = {r.check for r in records}
