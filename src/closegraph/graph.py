@@ -33,6 +33,10 @@ UNREACHABLE = -1
 # in pure Python is far out of reach long before this size.
 MAX_ORDER = 100_000
 
+# Sources per multi-source BFS block in graph_closeness. The kernel holds
+# O(n * _BLOCK / 8) bytes of bitsets; its peak is about 1.2 MB at n = 2000.
+_BLOCK = 1024
+
 
 class Graph:
     """Immutable simple undirected graph with dense 0-based vertex indices.
@@ -161,12 +165,64 @@ def vertex_closeness(g: Graph, i: int) -> Dyadic:
 
 
 def graph_closeness(g: Graph) -> ClosenessReport:
-    """Per-vertex closenesses (one BFS per vertex) and the graph total."""
-    per = [_closeness_from_distances(bfs_distances(g, i)) for i in range(g.order)]
-    total = Dyadic(0)
-    for c in per:
-        total = total + c
-    return ClosenessReport(per_vertex=per, total=total)
+    """Per-vertex closenesses and the graph total, by multi-source BFS.
+
+    Sources run in blocks of _BLOCK; bit i of a vertex's ints stands for
+    source lo + i. Each level ORs every frontier vertex's new bits into
+    its neighbours. The bits new at v on level k are the block's sources
+    at distance exactly k from v (distance is symmetric), so their count
+    is v's number of vertices at distance k. Within a block, v's
+    numerator is kept by lazy Horner over 2**(last level that reached v);
+    blocks are combined by shifting to the deeper of the two.
+    """
+    n = g.order
+    adj = g.adj
+    num = [0] * n
+    depth = [0] * n
+    reach = [0] * n
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        full = (1 << (hi - lo)) - 1
+        unseen = [full] * n
+        block_num = [0] * n
+        last = [0] * n
+        frontier = []
+        for s in range(lo, hi):
+            bit = 1 << (s - lo)
+            unseen[s] ^= bit
+            frontier.append((s, bit))
+        k = 0
+        while frontier:
+            k += 1
+            touched = []
+            for u, bits in frontier:
+                for w in adj[u]:
+                    x = reach[w]
+                    if not x:
+                        touched.append(w)
+                    reach[w] = x | bits
+            frontier = []
+            for v in touched:
+                new = reach[v] & unseen[v]
+                reach[v] = 0
+                if new:
+                    unseen[v] ^= new
+                    frontier.append((v, new))
+                    block_num[v] = (block_num[v] << (k - last[v])) + new.bit_count()
+                    last[v] = k
+        for v in range(n):
+            shift = last[v] - depth[v]
+            if shift > 0:
+                num[v] = (num[v] << shift) + block_num[v]
+                depth[v] = last[v]
+            else:
+                num[v] += block_num[v] << -shift
+    deepest = max(depth, default=0)
+    total = sum(c << (deepest - d) for c, d in zip(num, depth))
+    return ClosenessReport(
+        per_vertex=[Dyadic(c, d) for c, d in zip(num, depth)],
+        total=Dyadic(total, deepest),
+    )
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -178,8 +234,8 @@ def parse_edgelist(text: str) -> Graph:
     """
     header: tuple[int, int] | None = None
     header_line = 0
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[set[int]] = []
+    count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -201,25 +257,27 @@ def parse_edgelist(text: str) -> Graph:
                 )
             header = (a, b)
             header_line = lineno
+            adj = [set() for _ in range(a)]
             continue
         n, _ = header
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"line {lineno}: edge ({a}, {b}) out of range for order {n}")
         if a == b:
             raise ValueError(f"line {lineno}: self-loop at vertex {a}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
+        if b in adj[a]:
             raise ValueError(f"line {lineno}: duplicate edge ({a}, {b})")
-        seen.add(key)
-        edges.append((a, b))
+        adj[a].add(b)
+        adj[b].add(a)
+        count += 1
     if header is None:
         raise ValueError("line 1: missing 'n m' header")
     n, m = header
-    if len(edges) != m:
+    if count != m:
         raise ValueError(
-            f"line {header_line}: header declares {m} edges, file has {len(edges)}"
+            f"line {header_line}: header declares {m} edges, file has {count}"
         )
-    return Graph.from_edges(n, edges)
+    # every edge was validated above, so build the graph without from_edges
+    return Graph(n, [sorted(s) for s in adj], [str(i) for i in range(n)])
 
 
 def format_edgelist(g: Graph) -> str:

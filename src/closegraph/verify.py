@@ -29,6 +29,8 @@ import json
 import multiprocessing
 import os
 import random
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .dyadic import Dyadic
@@ -118,7 +120,7 @@ def parse_window(text: str) -> SweepWindow:
     return window
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationRecord:
     """One grid point: which check, its parameters, both values, verdict."""
 
@@ -151,7 +153,13 @@ class VerificationRecord:
 
 
 def _record(check, p1, p2, formula, oracle) -> VerificationRecord:
-    return VerificationRecord(check, p1, p2, formula, oracle, formula == oracle)
+    # A passing record keeps one Dyadic for both values, and every record
+    # of a check shares one interned name, so the records that a sweep
+    # pickles back from its workers unpickle into fewer objects.
+    passed = formula == oracle
+    return VerificationRecord(
+        sys.intern(check), p1, p2, formula, formula if passed else oracle, passed
+    )
 
 
 def _sub_seed(seed: int, salt: int, idx: int) -> int:
@@ -358,80 +366,78 @@ def build_tasks(
     seed: int = DEFAULT_SEED,
     families: set[str] | None = None,
     experiment_min_degree: bool = False,
-) -> list:
-    """The full deterministic task list, optionally filtered by family."""
+) -> Iterator[tuple]:
+    """Yield the full deterministic task list, optionally filtered by family."""
 
     def wanted(fam: str) -> bool:
         return families is None or fam in families
 
-    tasks: list = []
     for fam in ("path", "cycle", "star"):
         if wanted(fam):
-            tasks.extend(
+            yield from (
                 ("family", fam, n, None)
                 for n in range(_BASIC_MIN[fam], window.basic_max + 1)
             )
     if wanted("complete"):
-        tasks.extend(
+        yield from (
             ("family", "complete", n, None) for n in range(1, window.complete_max + 1)
         )
     for fam in ("lollipop", "tadpole", "broom", "bistar"):
         if wanted(fam):
-            tasks.extend(("family", fam, m, n) for m, n in _composite_grid(fam, window))
+            yield from (("family", fam, m, n) for m, n in _composite_grid(fam, window))
 
     for fam in ("path", "cycle", "star"):
         if wanted(fam):
-            tasks.extend(
+            yield from (
                 ("line", fam, n, None)
                 for n in range(_LINE_MIN[fam], window.basic_max + 1)
             )
     if wanted("complete"):
-        tasks.extend(
+        yield from (
             ("line", "complete", n, None) for n in range(1, window.complete_max + 1)
         )
     for fam in ("lollipop", "tadpole", "broom", "bistar"):
         if wanted(fam):
-            tasks.extend(("line", fam, m, n) for m, n in _composite_grid(fam, window))
+            yield from (("line", fam, m, n) for m, n in _composite_grid(fam, window))
 
     for case in ("path", "cycle", "star_leaf", "star_center", "complete"):
         if wanted(_BRIDGED_FAMILY[case]):
-            tasks.extend(
+            yield from (
                 ("bridged", case, n)
                 for n in range(_BRIDGED_MIN[case], window.bridged_max + 1)
             )
 
     if families is None:
-        tasks.extend(
+        yield from (
             ("shadow_instance", "complete", n)
             for n in range(2, window.shadow_max_order + 1)
         )
-        tasks.extend(
+        yield from (
             ("shadow_instance", "star", n)
             for n in range(2, window.shadow_max_order + 1)
         )
-        tasks.append(("shadow_instance", "path", 5))
-        tasks.extend(
+        yield ("shadow_instance", "path", 5)
+        yield from (
             ("shadow_random", i, seed, window.shadow_max_order)
             for i in range(window.shadow_cases)
         )
-        tasks.extend(
+        yield from (
             ("rule_random", i, seed, window.pair_max_order)
             for i in range(window.pair_cases)
         )
 
     for fam in ("lollipop", "tadpole", "broom", "bistar"):
         if wanted(fam):
-            tasks.extend(("compose", fam, m, n) for m, n in _composite_grid(fam, window))
-            tasks.extend(
+            yield from (("compose", fam, m, n) for m, n in _composite_grid(fam, window))
+            yield from (
                 ("compose_line", fam, m, n) for m, n in _composite_grid(fam, window)
             )
 
     if experiment_min_degree and families is None:
-        tasks.extend(
+        yield from (
             ("shadow_mindeg", i, seed, window.shadow_max_order)
             for i in range(window.shadow_cases)
         )
-    return tasks
 
 
 def _worker_count(jobs: int | None, tasks: int) -> int:
@@ -465,15 +471,17 @@ def run_all(
     """
     if window is None:
         window = SweepWindow()
-    tasks = build_tasks(window, seed, families, experiment_min_degree)
-    jobs = _worker_count(jobs, len(tasks))
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with multiprocessing.Pool(jobs) as pool:
-            grouped = pool.map(_eval_task, tasks, chunksize=chunk)
-    else:
-        grouped = map(_eval_task, tasks)
-    return [rec for group in grouped for rec in group]
+    grid = (window, seed, families, experiment_min_degree)
+    count = sum(1 for _ in build_tasks(*grid))
+    jobs = _worker_count(jobs, count)
+    if jobs <= 1:
+        return [rec for task in build_tasks(*grid) for rec in _eval_task(task)]
+    # Tasks are generated as the pool hands them out, so the parent never
+    # holds the task list and the forked workers do not inherit a copy.
+    chunk = max(1, count // (jobs * 8))
+    with multiprocessing.Pool(jobs) as pool:
+        grouped = pool.imap(_eval_task, build_tasks(*grid), chunksize=chunk)
+        return [rec for group in grouped for rec in group]
 
 
 CSV_HEADER = ["family", "p1", "p2", "formula", "oracle", "pass"]
@@ -488,9 +496,16 @@ def write_csv(records, path) -> None:
 
 
 def write_json(records, path) -> None:
+    """The bytes of json.dump(list, fh, indent=2) plus a newline, written
+    one record at a time so no list of dicts is built."""
+    encode = json.JSONEncoder(indent=2).encode
     with open(path, "w") as fh:
-        json.dump([rec.to_json() for rec in records], fh, indent=2)
-        fh.write("\n")
+        sep = "[\n  "
+        for rec in records:
+            fh.write(sep)
+            fh.write(encode(rec.to_json()).replace("\n", "\n  "))
+            sep = ",\n  "
+        fh.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def failures(records) -> list[VerificationRecord]:

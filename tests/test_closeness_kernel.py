@@ -1,0 +1,83 @@
+"""The multi-source bitset BFS kernel against the per-source reference."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from closegraph import graph
+from closegraph.generators import FamilySpec, gen_random_connected, generate
+from closegraph.graph import graph_closeness
+
+import closeness_reference
+from conftest import build
+from strategies import any_graph, complete, complete_minus_edge, cycle, shuffled, tree
+
+ANY_SMALL_GRAPH = shuffled(
+    st.one_of(any_graph(), tree(), cycle(), complete(), complete_minus_edge())
+)
+
+
+def _canonical(report):
+    return [c.canonical() for c in report.per_vertex], report.total.canonical()
+
+
+def assert_matches_reference(g):
+    got = _canonical(graph_closeness(g))
+    want = _canonical(closeness_reference.graph_closeness(g))
+    assert got == want, (g.order, list(g.edges()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_SMALL_GRAPH)
+def test_matches_per_source_reference(g):
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@settings(max_examples=60, deadline=None)
+@given(g=ANY_SMALL_GRAPH)
+def test_matches_reference_across_block_boundaries(block, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK", block)
+        assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_matches_reference_on_every_tiny_graph(order):
+    pairs = list(itertools.combinations(range(order), 2))
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            assert_matches_reference(build(order, list(edges)))
+
+
+def _union(*parts):
+    order, edges = 0, []
+    for g in parts:
+        edges += [(u + order, v + order) for u, v in g.edges()]
+        order += g.order
+    return build(order + 3, edges)  # three isolated vertices at the end
+
+
+@pytest.mark.parametrize("block", [3, 64])
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_random_connected(150, 400, seed=1),
+        generate(FamilySpec("path", 130)),
+        generate(FamilySpec("cycle", 129)),
+        _union(generate(FamilySpec("lollipop", 9, 40)), gen_random_connected(70, 90, seed=2)),
+    ],
+    ids=["random150", "path130", "cycle129", "union"],
+)
+def test_matches_reference_on_multi_block_graphs(block, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK", block)
+        assert_matches_reference(g)
+
+
+def test_two_real_blocks_match_per_vertex():
+    g = gen_random_connected(1100, 2400, seed=5)
+    assert g.order > graph._BLOCK
+    assert_matches_reference(g)

@@ -22,6 +22,7 @@ from closegraph.generators import FamilySpec, gen_random_connected, generate
 from closegraph.transforms import add_edge, delete_edge
 
 from conftest import build, oracle_total_closeness, oracle_vertex_closeness
+from strategies import any_graph, complete, cycle, shuffled, tree
 
 
 def test_construction_validation():
@@ -176,6 +177,14 @@ def test_edgelist_round_trip():
     assert back.order == g.order
     assert list(back.edges()) == list(g.edges())
     assert graph_closeness(back).total == graph_closeness(g).total
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled(st.one_of(any_graph(), tree(), cycle(), complete())))
+def test_edgelist_round_trip_property(g):
+    back = parse_edgelist(format_edgelist(g))
+    assert back == g
+    assert back.labels == [str(i) for i in range(g.order)]
 
 
 def test_edgelist_comments_and_whitespace():

@@ -70,6 +70,14 @@ def test_parallel_matches_serial(small_records):
     assert [r.to_row() for r in parallel] == [r.to_row() for r in small_records]
 
 
+def test_records_share_values_and_names(small_records):
+    # a passing record holds one Dyadic for both values, and records of one
+    # check share one name object, so pickled records unpickle compactly
+    assert all((r.formula is r.oracle) == r.passed for r in small_records)
+    names = {}
+    assert all(names.setdefault(r.check, r.check) is r.check for r in small_records)
+
+
 def test_jobs_env_var_honored(small_records, monkeypatch):
     from closegraph.verify import JOBS_ENV_VAR
 
@@ -93,8 +101,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return list(map(fn, items))
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
 
 
 @pytest.fixture
@@ -115,7 +123,7 @@ def test_jobs_clamped_to_cores_and_tasks(small_records, recording_pool, monkeypa
     assert [r.to_row() for r in records] == [r.to_row() for r in small_records]
 
     monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
-    tasks = build_tasks(SMALL, seed=99, families={"cycle"})
+    tasks = list(build_tasks(SMALL, seed=99, families={"cycle"}))
     run_all(window=SMALL, seed=99, families={"cycle"}, jobs=10_000)
     assert recording_pool.sizes == [3, len(tasks)]
 
@@ -197,6 +205,19 @@ def test_csv_and_json_output(tmp_path, small_records):
     assert set(payload[0]) == {"family", "p1", "p2", "formula", "oracle", "pass"}
 
 
+@pytest.mark.parametrize("count", [0, 1, None])
+def test_write_json_matches_json_dump(tmp_path, small_records, count):
+    import json as jsonlib
+
+    records = small_records if count is None else small_records[:count]
+    path, expected = tmp_path / "records.json", tmp_path / "expected.json"
+    write_json(records, path)
+    with open(expected, "w") as fh:
+        jsonlib.dump([rec.to_json() for rec in records], fh, indent=2)
+        fh.write("\n")
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_parse_window():
     assert parse_window("default") == SweepWindow()
     assert parse_window("") == SweepWindow()
@@ -210,6 +231,6 @@ def test_parse_window():
 
 
 def test_task_list_deterministic():
-    a = build_tasks(SMALL, seed=42)
-    b = build_tasks(SMALL, seed=42)
+    a = list(build_tasks(SMALL, seed=42))
+    b = list(build_tasks(SMALL, seed=42))
     assert a == b
