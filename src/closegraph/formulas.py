@@ -18,8 +18,6 @@ from .dyadic import Dyadic
 from .generators import FamilySpec
 
 __all__ = [
-    "FORMULA_IDS",
-    "BRIDGED_CASES",
     "BridgedLineValues",
     "closed_form",
     "closed_form_line",
@@ -35,19 +33,7 @@ __all__ = [
     "cycle_vertex_closeness",
 ]
 
-# Identifiers for everything the sweeps verify: C_* whole-family
-# closeness, CL_* closeness of the family's line graph, CLB_*/CB_*
-# the pendant-bridge line graph and its bridge vertex, C_shadow the
-# shadow-graph rule.
-FORMULA_IDS = (
-    "C_path", "C_cycle", "C_star", "C_complete", "C_shadow",
-    "C_lollipop", "C_tadpole", "C_broom", "C_bistar",
-    "CL_path", "CL_cycle", "CL_star", "CL_complete",
-    "CL_lollipop", "CL_tadpole", "CL_broom", "CL_bistar",
-    "CLB_path", "CLB_cycle", "CLB_star_leaf", "CLB_star_center", "CLB_complete",
-    "CB_path", "CB_cycle", "CB_star_leaf", "CB_star_center", "CB_complete",
-)
-
+# The pendant-bridge cases bridged_line accepts, for its error message.
 BRIDGED_CASES = ("path", "cycle", "star_leaf", "star_center", "complete")
 
 _P2 = Dyadic.pow2

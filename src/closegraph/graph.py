@@ -33,8 +33,9 @@ UNREACHABLE = -1
 # in pure Python is far out of reach long before this size.
 MAX_ORDER = 100_000
 
-# Sources per multi-source BFS block in graph_closeness. The kernel holds
-# O(n * _BLOCK / 8) bytes of bitsets; its peak is about 1.2 MB at n = 2000.
+# Sources per block of the multi-source BFS kernel, _closeness_sums. It
+# holds O(n * _BLOCK / 8) bytes of bitsets; the peak is about 1.2 MB at
+# n = 2000.
 _BLOCK = 1024
 
 
@@ -164,31 +165,33 @@ def vertex_closeness(g: Graph, i: int) -> Dyadic:
     return _closeness_from_distances(bfs_distances(g, i))
 
 
-def graph_closeness(g: Graph) -> ClosenessReport:
-    """Per-vertex closenesses and the graph total, by multi-source BFS.
+def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]]:
+    """Per vertex v, the sum over s in sources of 2**-d(s, v), by
+    multi-source BFS on the adjacency lists adj. sources is a sequence
+    (a range or a list) of distinct vertices.
 
-    Sources run in blocks of _BLOCK; bit i of a vertex's ints stands for
-    source lo + i. Each level ORs every frontier vertex's new bits into
-    its neighbours. The bits new at v on level k are the block's sources
-    at distance exactly k from v (distance is symmetric), so their count
-    is v's number of vertices at distance k. Within a block, v's
-    numerator is kept by lazy Horner over 2**(last level that reached v);
-    blocks are combined by shifting to the deeper of the two.
+    Returns (num, depth): v's sum is num[v] / 2**depth[v]. Sources run in
+    blocks of _BLOCK (read at call time); bit i of a vertex's ints stands
+    for the block's i-th source. Each level ORs every frontier vertex's
+    new bits into its neighbours. The bits new at v on level k are the
+    block's sources at distance exactly k from v, so their count is the
+    number of those sources at distance k. Within a block, v's numerator
+    is kept by lazy Horner over 2**(last level that reached v); blocks
+    are combined by shifting to the deeper of the two.
     """
-    n = g.order
-    adj = g.adj
+    n = len(adj)
     num = [0] * n
     depth = [0] * n
     reach = [0] * n
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        full = (1 << (hi - lo)) - 1
+    for lo in range(0, len(sources), _BLOCK):
+        block = sources[lo : lo + _BLOCK]
+        full = (1 << len(block)) - 1
         unseen = [full] * n
         block_num = [0] * n
         last = [0] * n
         frontier = []
-        for s in range(lo, hi):
-            bit = 1 << (s - lo)
+        for i, s in enumerate(block):
+            bit = 1 << i
             unseen[s] ^= bit
             frontier.append((s, bit))
         k = 0
@@ -217,6 +220,14 @@ def graph_closeness(g: Graph) -> ClosenessReport:
                 depth[v] = last[v]
             else:
                 num[v] += block_num[v] << -shift
+    return num, depth
+
+
+def graph_closeness(g: Graph) -> ClosenessReport:
+    """Per-vertex closenesses and the graph total, by multi-source BFS
+    from every vertex (distance is symmetric, so v's sum over all
+    sources is the closeness of v)."""
+    num, depth = _closeness_sums(g.adj, range(g.order))
     deepest = max(depth, default=0)
     total = sum(c << (deepest - d) for c, d in zip(num, depth))
     return ClosenessReport(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closegraph import graph
+from closegraph.dyadic import Dyadic
 from closegraph.generators import FamilySpec, gen_random_connected, generate
 from closegraph.graph import graph_closeness
 
@@ -81,3 +82,20 @@ def test_two_real_blocks_match_per_vertex():
     g = gen_random_connected(1100, 2400, seed=5)
     assert g.order > graph._BLOCK
     assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_source_subset_sums_to_their_closenesses(block, data):
+    """From a subset S of the vertices, the kernel's per-vertex sums add
+    up to the sum over S of C(s), whatever the block size."""
+    g = data.draw(ANY_SMALL_GRAPH)
+    sources = data.draw(st.lists(st.sampled_from(range(g.order)), unique=True)) if g.order else []
+    per = closeness_reference.graph_closeness(g).per_vertex
+    want = sum((per[s] for s in sources), Dyadic(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK", block)
+        num, depth = graph._closeness_sums(g.adj, sources)
+    got = sum((Dyadic(c, d) for c, d in zip(num, depth)), Dyadic(0))
+    assert got == want, (g.order, list(g.edges()), sources)

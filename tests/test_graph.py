@@ -1,5 +1,6 @@
 """Graph core: BFS, exact closeness, edge-list format."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -271,3 +272,56 @@ def test_dot_export_has_labels():
     dot = to_dot(g)
     assert 'label="K:0"' in dot and 'label="P:1"' in dot
     assert "0 -- 1;" in dot
+
+
+# Characters an edge list is made of, plus a few that never belong in one.
+_EDGELIST_CHARS = "0123456789 -+_#\n\r\t\x0bx."
+
+
+@st.composite
+def _mutated_edgelist(draw):
+    """A valid edge list with one to three lines edited: a number swapped
+    for its neighbour on the line or a nearby one, a line repeated or
+    dropped, or a short span of a line replaced by noise."""
+    order, edges = draw(st.one_of(any_graph(), tree(), cycle()))
+    lines = format_edgelist(build(order, edges)).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(["number", "repeat", "drop", "noise"]))
+        if edit == "number":
+            tokens = lines[i].split() or [""]
+            k = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            nearby = st.integers(min_value=-2, max_value=order + 1).map(str)
+            tokens[k] = draw(st.one_of(st.sampled_from(tokens), nearby))
+            lines[i] = " ".join(tokens)
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "drop":
+            del lines[i]
+        else:
+            j = draw(st.integers(min_value=0, max_value=len(lines[i])))
+            noise = draw(st.text(alphabet=_EDGELIST_CHARS, max_size=4))
+            lines[i] = lines[i][:j] + noise + lines[i][j + 2 :]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=30),
+        st.text(alphabet=_EDGELIST_CHARS, max_size=30),
+        _mutated_edgelist(),
+    )
+)
+def test_parse_edgelist_fuzz(text):
+    """Any text either parses to a valid graph that round-trips through
+    format_edgelist, or raises ValueError with a line number."""
+    try:
+        g = parse_edgelist(text)
+    except ValueError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+        return
+    assert Graph.from_edges(g.order, list(g.edges())) == g
+    assert parse_edgelist(format_edgelist(g)) == g

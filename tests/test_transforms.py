@@ -1,6 +1,9 @@
 """Graph operations: shadow, line graph, joins, edits, origin tables."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closegraph.dyadic import Dyadic
 from closegraph.generators import FamilySpec, gen_random_connected, generate
@@ -15,7 +18,8 @@ from closegraph.transforms import (
     shadow,
 )
 
-from conftest import build
+from conftest import build, to_networkx
+from strategies import any_graph, complete_minus_edge, cycle, shuffled, tree
 
 
 def degree_sequence(g):
@@ -221,3 +225,75 @@ def test_edit_precondition_errors():
         add_edge(g, 1, 1)
     with pytest.raises(ValueError):
         delete_vertex(g, 3)
+
+
+# --- differential tests against networkx ------------------------------------
+
+SMALL_GRAPH = shuffled(st.one_of(any_graph(), tree(), cycle(), complete_minus_edge()))
+NONEMPTY_GRAPH = SMALL_GRAPH.filter(lambda g: g.order > 0)
+
+
+def _edge_set(edges):
+    return {frozenset(e) for e in edges}
+
+
+def _join_key(origin):
+    """The vertex a join result's vertex stands for, as named in the
+    networkx union below; the merged vertex keeps its left name."""
+    if origin.kind == "merged":
+        return ("left", origin.source[0])
+    return (origin.kind, origin.source)
+
+
+def _nx_union(g1, g2):
+    G = nx.relabel_nodes(to_networkx(g1), lambda i: ("left", i))
+    G.update(nx.relabel_nodes(to_networkx(g2), lambda j: ("right", j)))
+    return G
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_GRAPH)
+def test_line_graph_matches_networkx(g):
+    lg, origins = line_graph(g)
+    assert all(o.kind == "edge" for o in origins)
+    ends = [o.source for o in origins]
+    want = nx.line_graph(to_networkx(g))
+    assert sorted(ends) == sorted(tuple(sorted(e)) for e in want.nodes)
+    got = _edge_set((ends[a], ends[b]) for a, b in lg.edges())
+    assert got == _edge_set((tuple(sorted(x)), tuple(sorted(y))) for x, y in want.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(NONEMPTY_GRAPH, NONEMPTY_GRAPH, st.data())
+def test_bridge_join_matches_networkx(g1, g2, data):
+    p = data.draw(st.integers(min_value=0, max_value=g1.order - 1))
+    q = data.draw(st.integers(min_value=0, max_value=g2.order - 1))
+    joined, origins = bridge_join(g1, p, g2, q)
+    want = _nx_union(g1, g2)
+    want.add_edge(("left", p), ("right", q))
+    keys = [_join_key(o) for o in origins]
+    assert sorted(keys) == sorted(want.nodes)
+    assert _edge_set((keys[a], keys[b]) for a, b in joined.edges()) == _edge_set(want.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(NONEMPTY_GRAPH, NONEMPTY_GRAPH, st.data())
+def test_coalesce_join_matches_networkx(g1, g2, data):
+    p = data.draw(st.integers(min_value=0, max_value=g1.order - 1))
+    q = data.draw(st.integers(min_value=0, max_value=g2.order - 1))
+    merged, origins = coalesce_join(g1, p, g2, q)
+    want = nx.contracted_nodes(_nx_union(g1, g2), ("left", p), ("right", q), self_loops=False)
+    keys = [_join_key(o) for o in origins]
+    assert sorted(keys) == sorted(want.nodes)
+    assert _edge_set((keys[a], keys[b]) for a, b in merged.edges()) == _edge_set(want.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(NONEMPTY_GRAPH, st.data())
+def test_delete_vertex_matches_networkx(g, data):
+    v = data.draw(st.integers(min_value=0, max_value=g.order - 1))
+    reduced, keep = delete_vertex(g, v)
+    want = to_networkx(g)
+    want.remove_node(v)
+    assert keep == sorted(want.nodes)
+    assert _edge_set((keep[a], keep[b]) for a, b in reduced.edges()) == _edge_set(want.edges)
