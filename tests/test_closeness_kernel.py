@@ -85,7 +85,7 @@ def test_two_real_blocks_match_per_vertex():
 
 
 @pytest.mark.parametrize("block", [1, 3, 1024])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_source_subset_sums_to_their_closenesses(block, data):
     """From a subset S of the vertices, the kernel's per-vertex sums add
