@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 from .dyadic import Dyadic
@@ -60,21 +61,34 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _closeness_json(g: Graph, report, per_vertex: bool) -> str:
+    """The text json.dumps(payload, indent=2) gives for the closeness
+    payload {"order", "total"[, "per_vertex": [{"vertex", "label",
+    "closeness"}, ...]]}, written one f-string per vertex: with indent
+    set, json.dumps runs its pure-Python encoder, which was most of the
+    output time on large graphs. Labels are escaped as json.dumps escapes
+    them; canonical dyadic text is digits, '-', '/' and '^', which need
+    no escaping."""
+    head = f'{{\n  "order": {g.order},\n  "total": "{report.total.canonical()}"'
+    if not per_vertex:
+        return head + "\n}"
+    if not report.per_vertex:
+        return head + ',\n  "per_vertex": []\n}'
+    labels = g.labels
+    rows = ",\n".join(
+        f'    {{\n      "vertex": {i},\n      "label": {quote(labels[i])},\n'
+        f'      "closeness": "{c.canonical()}"\n    }}'
+        for i, c in enumerate(report.per_vertex)
+    )
+    return f'{head},\n  "per_vertex": [\n{rows}\n  ]\n}}'
+
+
 def _cmd_closeness(args) -> int:
     g = _load_graph(args.input)
     report = graph_closeness(g)
     fmt = args.format
     if fmt == "json":
-        payload = {
-            "order": g.order,
-            "total": report.total.canonical(),
-        }
-        if args.per_vertex:
-            payload["per_vertex"] = [
-                {"vertex": i, "label": g.labels[i], "closeness": c.canonical()}
-                for i, c in enumerate(report.per_vertex)
-            ]
-        print(json.dumps(payload, indent=2))
+        print(_closeness_json(g, report, args.per_vertex))
     elif fmt == "csv":
         print("vertex,label,closeness")
         if args.per_vertex:

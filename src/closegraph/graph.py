@@ -8,6 +8,7 @@ are exact :class:`~closegraph.dyadic.Dyadic` numbers, never floats.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -33,10 +34,18 @@ UNREACHABLE = -1
 # in pure Python is far out of reach long before this size.
 MAX_ORDER = 100_000
 
-# Sources per block of the multi-source BFS kernel, _closeness_sums. It
-# holds O(n * _BLOCK / 8) bytes of bitsets; the peak is about 1.2 MB at
-# n = 2000.
+# Sources per block of the multi-source BFS kernel, _closeness_sums: a
+# block is max(_BLOCK, _BLOCK_BITS // n) sources wide. Every edge scan is
+# shared by all of a block's sources (Then et al., PVLDB 2014), so wider
+# blocks mean fewer scans; each vertex-indexed list of block bitsets then
+# holds about n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB. Graphs up to
+# n = 5792 run as one block; from n = 32768 on, blocks are _BLOCK wide and
+# a list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
 _BLOCK = 1024
+_BLOCK_BITS = 1 << 25
+
+# One edge-list number: ASCII digits with an optional leading '-'.
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class Graph:
@@ -171,20 +180,22 @@ def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]
     (a range or a list) of distinct vertices.
 
     Returns (num, depth): v's sum is num[v] / 2**depth[v]. Sources run in
-    blocks of _BLOCK (read at call time); bit i of a vertex's ints stands
-    for the block's i-th source. Each level ORs every frontier vertex's
-    new bits into its neighbours. The bits new at v on level k are the
-    block's sources at distance exactly k from v, so their count is the
-    number of those sources at distance k. Within a block, v's numerator
-    is kept by lazy Horner over 2**(last level that reached v); blocks
-    are combined by shifting to the deeper of the two.
+    blocks of max(_BLOCK, _BLOCK_BITS // n) (both read at call time); bit
+    i of a vertex's ints stands for the block's i-th source. Each level
+    ORs every frontier vertex's new bits into its neighbours. The bits
+    new at v on level k are the block's sources at distance exactly k
+    from v, so their count is the number of those sources at distance k.
+    Within a block, v's numerator is kept by lazy Horner over 2**(last
+    level that reached v); blocks are combined by shifting to the deeper
+    of the two.
     """
     n = len(adj)
     num = [0] * n
     depth = [0] * n
     reach = [0] * n
-    for lo in range(0, len(sources), _BLOCK):
-        block = sources[lo : lo + _BLOCK]
+    width = max(_BLOCK, _BLOCK_BITS // (n or 1))
+    for lo in range(0, len(sources), width):
+        block = sources[lo : lo + width]
         full = (1 << len(block)) - 1
         unseen = [full] * n
         block_num = [0] * n
@@ -239,26 +250,29 @@ def graph_closeness(g: Graph) -> ClosenessReport:
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then m lines "u v".
 
-    Lines whose first non-blank character is '#' are comments. Errors
-    (self-loops, duplicates, bad indices, wrong edge count) carry the
-    1-based line number.
+    Lines end at "\n" only. Lines whose first non-blank character is '#'
+    are comments. Numbers are ASCII digits with an optional leading '-'.
+    Errors (self-loops, duplicates, bad indices, wrong edge count) carry
+    the 1-based line number.
     """
-    header: tuple[int, int] | None = None
     header_line = 0
     adj: list[set[int]] = []
-    count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    n = m = 0
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if header is None:
+        x, y = parts
+        # str.isdigit alone would pass non-ASCII digits, and int() also
+        # takes "+3" and "1_0"; a leading '-' or non-ASCII blanks around
+        # the numbers take the slower exact check
+        if not (x.isdigit() and y.isdigit() and raw.isascii()):
+            if not (_INTEGER.fullmatch(x) and _INTEGER.fullmatch(y)):
+                raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
+        a, b = int(x), int(y)
+        if not header_line:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: negative count in header")
             if a > MAX_ORDER:
@@ -266,23 +280,22 @@ def parse_edgelist(text: str) -> Graph:
                     f"line {lineno}: header declares {a} vertices, more than "
                     f"the limit of {MAX_ORDER}"
                 )
-            header = (a, b)
+            n, m = a, b
             header_line = lineno
-            adj = [set() for _ in range(a)]
+            adj = [set() for _ in range(n)]
             continue
-        n, _ = header
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"line {lineno}: edge ({a}, {b}) out of range for order {n}")
         if a == b:
             raise ValueError(f"line {lineno}: self-loop at vertex {a}")
-        if b in adj[a]:
+        nbrs = adj[a]
+        if b in nbrs:
             raise ValueError(f"line {lineno}: duplicate edge ({a}, {b})")
-        adj[a].add(b)
+        nbrs.add(b)
         adj[b].add(a)
-        count += 1
-    if header is None:
+    if not header_line:
         raise ValueError("line 1: missing 'n m' header")
-    n, m = header
+    count = sum(map(len, adj)) // 2
     if count != m:
         raise ValueError(
             f"line {header_line}: header declares {m} edges, file has {count}"

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from closegraph.cli import main
+from closegraph.cli import _closeness_json, main
+from closegraph.generators import gen_random_connected
+from closegraph.graph import Graph, format_edgelist, graph_closeness, parse_edgelist
 
 
 def run(capsys, *argv):
@@ -54,6 +56,42 @@ def test_closeness_per_vertex_json(tmp_path, capsys):
     assert payload["per_vertex"][1]["closeness"] == "1/2^0"
     # edge-list files carry no labels, so parsed graphs use the index
     assert payload["per_vertex"][0]["label"] == "0"
+
+
+def _closeness_payload(g, per_vertex):
+    report = graph_closeness(g)
+    payload = {"order": g.order, "total": report.total.canonical()}
+    if per_vertex:
+        payload["per_vertex"] = [
+            {"vertex": i, "label": g.labels[i], "closeness": c.canonical()}
+            for i, c in enumerate(report.per_vertex)
+        ]
+    return payload
+
+
+@pytest.mark.parametrize("per_vertex", [False, True], ids=["total", "per_vertex"])
+@pytest.mark.parametrize(
+    "g",
+    [Graph.from_edges(0, []), Graph.from_edges(1, []), gen_random_connected(1100, 2400, seed=5)],
+    ids=["order0", "order1", "random1100"],
+)
+def test_closeness_json_is_json_dumps_text(tmp_path, capsys, g, per_vertex):
+    """`closeness --format json` writes exactly the bytes of
+    json.dumps(payload, indent=2) plus a newline."""
+    path = tmp_path / "g.edges"
+    path.write_text(format_edgelist(g))
+    flags = ["--per-vertex"] if per_vertex else []
+    code, out, _ = run(capsys, "closeness", "-i", str(path), *flags, "--format", "json")
+    assert code == 0
+    parsed = parse_edgelist(path.read_text())
+    assert out == json.dumps(_closeness_payload(parsed, per_vertex), indent=2) + "\n"
+
+
+def test_closeness_json_escapes_labels_as_json_dumps():
+    labels = ['a"b', "back\\slash", "é", "tab\there", " ", "K:0"]
+    g = Graph.from_edges(len(labels), [(0, 1), (1, 2), (3, 4)], labels)
+    text = _closeness_json(g, graph_closeness(g), per_vertex=True)
+    assert text == json.dumps(_closeness_payload(g, True), indent=2)
 
 
 def test_closeness_csv(tmp_path, capsys):

@@ -42,6 +42,7 @@ def test_matches_per_source_reference(g):
 def test_matches_reference_across_block_boundaries(block, g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK", block)
+        mp.setattr(graph, "_BLOCK_BITS", 0)
         assert_matches_reference(g)
 
 
@@ -75,12 +76,21 @@ def _union(*parts):
 def test_matches_reference_on_multi_block_graphs(block, g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK", block)
+        mp.setattr(graph, "_BLOCK_BITS", 0)
         assert_matches_reference(g)
 
 
 def test_two_real_blocks_match_per_vertex():
     g = gen_random_connected(1100, 2400, seed=5)
     assert g.order > graph._BLOCK
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_BITS", 0)  # two blocks of 1024 and 76 sources
+        assert_matches_reference(g)
+
+
+def test_one_wide_block_matches_per_vertex():
+    g = gen_random_connected(1100, 2400, seed=5)
+    assert graph._BLOCK_BITS // g.order >= g.order  # one block at the defaults
     assert_matches_reference(g)
 
 
@@ -96,6 +106,7 @@ def test_source_subset_sums_to_their_closenesses(block, data):
     want = sum((per[s] for s in sources), Dyadic(0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK", block)
+        mp.setattr(graph, "_BLOCK_BITS", 0)
         num, depth = graph._closeness_sums(g.adj, sources)
     got = sum((Dyadic(c, d) for c, d in zip(num, depth)), Dyadic(0))
     assert got == want, (g.order, list(g.edges()), sources)

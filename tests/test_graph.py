@@ -214,6 +214,50 @@ def test_edgelist_errors_carry_line_numbers(text, fragment):
             raise
 
 
+@pytest.mark.parametrize("blank", ["\f", "\x85", "\u2028"], ids=["formfeed", "nel", "linesep"])
+def test_edgelist_lines_end_only_at_newline(blank):
+    """Other characters str.splitlines() breaks at are blanks inside a
+    line, so line numbers match the file's newline count."""
+    with pytest.raises(ValueError, match="^line 2: self-loop at vertex 0$"):
+        parse_edgelist(f"2 1{blank}\n0 0\n")
+    g = parse_edgelist(f"2 1{blank}\n{blank}0 1\n")
+    assert g.order == 2 and list(g.edges()) == [(0, 1)]
+
+
+def test_edgelist_crlf_line_ends():
+    g = parse_edgelist("# crlf\r\n3 2\r\n0 1\r\n1 2\r\n")
+    assert list(g.edges()) == [(0, 1), (1, 2)]
+    with pytest.raises(ValueError, match="^line 3: self-loop"):
+        parse_edgelist("2 1\r\n\r\n0 0\r\n")
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("1_0 0\n", 1),
+        ("+3 0\n", 1),
+        ("\u0663 0\n", 1),  # ARABIC-INDIC DIGIT THREE
+        ("3 0\uff10\n", 1),  # FULLWIDTH DIGIT ZERO after an ASCII digit
+        ("2 1\n0 +1\n", 2),
+        ("2 1\n0 1_\n", 2),
+        ("2 1\n--0 1\n", 2),
+        ("2 1\n0 \u00b9\n", 2),  # SUPERSCRIPT ONE
+        ("2 1\n0x0 1\n", 2),
+    ],
+)
+def test_edgelist_numbers_are_ascii_digits(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}: expected two integers, got "):
+        parse_edgelist(text)
+
+
+def test_edgelist_minus_sign_still_reads_as_a_number():
+    with pytest.raises(ValueError, match="^line 1: negative count in header$"):
+        parse_edgelist("-1 0\n")
+    with pytest.raises(ValueError, match=r"^line 2: edge \(-1, 0\) out of range for order 2$"):
+        parse_edgelist("2 1\n-1 0\n")
+    assert parse_edgelist("002 001\n-0 01\n") == Graph.from_edges(2, [(0, 1)])
+
+
 @pytest.mark.parametrize("order", [MAX_ORDER + 1, 100_000_000])
 def test_header_order_capped_before_allocating(order):
     text = f"# header only\n{order} 0\n"
