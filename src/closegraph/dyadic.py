@@ -10,12 +10,14 @@ general division; dividing by a power of two is multiplication by
 from __future__ import annotations
 
 import re
+from functools import total_ordering
 
-__all__ = ["Dyadic", "ZERO", "ONE"]
+__all__ = ["Dyadic"]
 
 _CANONICAL_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
 
 
+@total_ordering
 class Dyadic:
     """An exact rational numerator / 2**exponent.
 
@@ -42,12 +44,8 @@ class Dyadic:
         self.exponent = exponent
 
     @classmethod
-    def pow2(cls, d: int, negated: bool = False) -> "Dyadic":
-        """Exact 2**d, or 2**-d when negated (then d must be >= 0)."""
-        if negated:
-            if d < 0:
-                raise ValueError("negated pow2 requires d >= 0")
-            return cls(1, d)
+    def pow2(cls, d: int) -> "Dyadic":
+        """Exact 2**d for any integer d."""
         if d >= 0:
             return cls(1 << d, 0)
         return cls(1, -d)
@@ -104,14 +102,6 @@ class Dyadic:
     def __neg__(self):
         return Dyadic(-self.numerator, self.exponent)
 
-    def _cmp_pair(self, other):
-        """Cross-scale both numerators to a common exponent."""
-        e = max(self.exponent, other.exponent)
-        return (
-            self.numerator << (e - self.exponent),
-            other.numerator << (e - other.exponent),
-        )
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -122,29 +112,8 @@ class Dyadic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._cmp_pair(o)
-        return a < b
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_pair(o)
-        return a <= b
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_pair(o)
-        return a > b
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_pair(o)
-        return a >= b
+        e = max(self.exponent, o.exponent)
+        return self.numerator << (e - self.exponent) < o.numerator << (e - o.exponent)
 
     def __hash__(self):
         if self.exponent == 0:
@@ -173,7 +142,3 @@ class Dyadic:
 
     def __repr__(self):
         return f"Dyadic({self.numerator}, {self.exponent})"
-
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)

@@ -33,8 +33,8 @@ __all__ = [
     "cycle_vertex_closeness",
 ]
 
-# The pendant-bridge cases bridged_line accepts, for its error message.
-BRIDGED_CASES = ("path", "cycle", "star_leaf", "star_center", "complete")
+# The pendant-bridge cases bridged_line accepts, each with its least n.
+BRIDGED_CASES = {"path": 1, "cycle": 3, "star_leaf": 2, "star_center": 2, "complete": 2}
 
 _P2 = Dyadic.pow2
 
@@ -156,13 +156,15 @@ def bridged_line(case: str, n: int) -> BridgedLineValues:
     families and the pendant attaches at the convention vertex (path
     leaf, cycle vertex, star leaf or center, complete-graph vertex).
     """
+    if case not in BRIDGED_CASES:
+        raise ValueError(
+            f"unknown bridged-line case {case!r}; choose from {tuple(BRIDGED_CASES)}"
+        )
+    if n < BRIDGED_CASES[case]:
+        raise ValueError(f"{case} case requires n >= {BRIDGED_CASES[case]}, got {n}")
     if case == "path":
-        if n < 1:
-            raise ValueError(f"path case requires n >= 1, got {n}")
         return BridgedLineValues(_path_total(n), Dyadic(1) - _P2(1 - n))
     if case == "cycle":
-        if n < 3:
-            raise ValueError(f"cycle case requires n >= 3, got {n}")
         if n % 2 == 0:
             k = n // 2
             return BridgedLineValues(
@@ -175,21 +177,13 @@ def bridged_line(case: str, n: int) -> BridgedLineValues:
             Dyadic(2) - Dyadic(3) * _P2(-k - 1),
         )
     if case == "star_leaf":
-        if n < 2:
-            raise ValueError(f"star_leaf case requires n >= 2, got {n}")
         return BridgedLineValues(Dyadic((n - 1) * (n - 2) + n, 1), Dyadic(n, 2))
     if case == "star_center":
-        if n < 2:
-            raise ValueError(f"star_center case requires n >= 2, got {n}")
         return BridgedLineValues(Dyadic(n * (n - 1), 1), Dyadic(n - 1, 1))
-    if case == "complete":
-        if n < 2:
-            raise ValueError(f"complete case requires n >= 2, got {n}")
-        return BridgedLineValues(
-            Dyadic(n ** 4 + 2 * n ** 3 - 9 * n * n + 14 * n - 8, 4),
-            Dyadic((n - 1) * (n + 2), 3),
-        )
-    raise ValueError(f"unknown bridged-line case {case!r}; choose from {BRIDGED_CASES}")
+    return BridgedLineValues(  # complete
+        Dyadic(n ** 4 + 2 * n ** 3 - 9 * n * n + 14 * n - 8, 4),
+        Dyadic((n - 1) * (n + 2), 3),
+    )
 
 
 def compose_bridge(cg1: Dyadic, cg2: Dyadic, cp: Dyadic, cq: Dyadic) -> Dyadic:
@@ -223,13 +217,12 @@ def path_leaf_closeness(n: int) -> Dyadic:
 
 
 def complete_vertex_closeness(m: int) -> Dyadic:
-    """Closeness of any vertex of K_m: (m-1)/2."""
+    """Closeness of any vertex of K_m, and of the center of S_m (m total
+    vertices), which has the same m-1 neighbours: (m-1)/2."""
     return Dyadic(m - 1, 1)
 
 
-def star_center_closeness(m: int) -> Dyadic:
-    """Closeness of the center of S_m (m total vertices): (m-1)/2."""
-    return Dyadic(m - 1, 1)
+star_center_closeness = complete_vertex_closeness
 
 
 def star_leaf_closeness(m: int) -> Dyadic:

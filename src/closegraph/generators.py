@@ -28,6 +28,8 @@ __all__ = [
     "BASIC_FAMILIES",
     "COMPOSITE_FAMILIES",
     "FAMILIES",
+    "MINIMA",
+    "COMPOSITE_PARTS",
     "FamilySpec",
     "parse_family_spec",
     "gen_basic",
@@ -37,11 +39,19 @@ __all__ = [
 ]
 
 BASIC_FAMILIES = ("path", "cycle", "star", "complete")
-COMPOSITE_FAMILIES = ("lollipop", "tadpole", "broom", "bistar")
+# the basic families a composite bridges together, left part first; each
+# part is joined at its vertex 0 (complete/cycle vertex, star center, path leaf)
+COMPOSITE_PARTS = {
+    "lollipop": ("complete", "path"),
+    "tadpole": ("cycle", "path"),
+    "broom": ("star", "path"),
+    "bistar": ("star", "star"),
+}
+COMPOSITE_FAMILIES = tuple(COMPOSITE_PARTS)
 FAMILIES = BASIC_FAMILIES + COMPOSITE_FAMILIES
 
 # minimum p1 (and p2 where composite) for each family
-_MINIMA = {
+MINIMA = {
     "path": (1, None),
     "cycle": (3, None),
     "star": (2, None),
@@ -64,19 +74,15 @@ class FamilySpec:
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        lo1, lo2 = _MINIMA[self.family]
-        if lo2 is None:
-            if self.p2 is not None:
-                raise ValueError(f"{self.family} takes one parameter, got two")
-            if self.p1 < lo1:
-                raise ValueError(f"{self.family} requires p1 >= {lo1}, got {self.p1}")
-        else:
-            if self.p2 is None:
-                raise ValueError(f"{self.family} takes two parameters, got one")
-            if self.p1 < lo1:
-                raise ValueError(f"{self.family} requires p1 >= {lo1}, got {self.p1}")
-            if self.p2 < lo2:
-                raise ValueError(f"{self.family} requires p2 >= {lo2}, got {self.p2}")
+        lo1, lo2 = MINIMA[self.family]
+        if lo2 is None and self.p2 is not None:
+            raise ValueError(f"{self.family} takes one parameter, got two")
+        if lo2 is not None and self.p2 is None:
+            raise ValueError(f"{self.family} takes two parameters, got one")
+        if self.p1 < lo1:
+            raise ValueError(f"{self.family} requires p1 >= {lo1}, got {self.p1}")
+        if lo2 is not None and self.p2 < lo2:
+            raise ValueError(f"{self.family} requires p2 >= {lo2}, got {self.p2}")
 
     def __str__(self):
         if self.p2 is None:
@@ -123,22 +129,12 @@ def gen_basic(spec: FamilySpec) -> Graph:
 def gen_composite(spec: FamilySpec) -> Graph:
     """Build one of lollipop, tadpole, broom, bistar via a bridge join."""
     spec.validate()
-    m, n = spec.p1, spec.p2
-    if spec.family == "lollipop":
-        left = gen_basic(FamilySpec("complete", m))
-        right = gen_basic(FamilySpec("path", n))
-    elif spec.family == "tadpole":
-        left = gen_basic(FamilySpec("cycle", m))
-        right = gen_basic(FamilySpec("path", n))
-    elif spec.family == "broom":
-        left = gen_basic(FamilySpec("star", m))
-        right = gen_basic(FamilySpec("path", n))
-    elif spec.family == "bistar":
-        left = gen_basic(FamilySpec("star", m))
-        right = gen_basic(FamilySpec("star", n))
-    else:
+    if spec.family not in COMPOSITE_PARTS:
         raise ValueError(f"{spec.family} is not a composite family")
-    # attachment: complete/cycle vertex 0, star center 0, path leaf 0
+    left, right = (
+        gen_basic(FamilySpec(part, p))
+        for part, p in zip(COMPOSITE_PARTS[spec.family], (spec.p1, spec.p2))
+    )
     joined, _ = bridge_join(left, 0, right, 0)
     return joined
 

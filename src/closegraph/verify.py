@@ -5,13 +5,14 @@ correspondingly built graph exactly, and emits one VerificationRecord
 per comparison. Equality is bit-exact dyadic equality; there are no
 tolerances anywhere.
 
-Check identifiers in records:
+Check identifiers in records (the README tables which ``--family`` keeps):
 
 * ``C_<family>``          closed form vs measured family graph
 * ``CL_<family>``         line-graph closed form vs measured line graph
 * ``CLB_<case>``          pendant-bridge line-graph closeness vs oracle
 * ``CB_<case>``           bridge-vertex closeness within it vs oracle
 * ``C_shadow:<kind>``     shadow rule 4*C(G) + n/2 vs measured shadow
+  (kind: complete, star, path, random)
 * ``rule_bridge:random``  bridge composition rule on random pairs
 * ``rule_coalesce:random``  merge composition rule on random pairs
 * ``rule_bridge:C_<f>``   composite closed form rebuilt from part values
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 
 from .dyadic import Dyadic
 from .formulas import (
+    BRIDGED_CASES,
     bridged_line,
     closed_form,
     closed_form_line,
@@ -47,7 +49,14 @@ from .formulas import (
     shadow_closeness,
     star_center_closeness,
 )
-from .generators import FamilySpec, gen_random_connected, generate
+from .generators import (
+    COMPOSITE_PARTS,
+    FAMILIES,
+    MINIMA,
+    FamilySpec,
+    gen_random_connected,
+    generate,
+)
 from .graph import Graph, graph_closeness
 from .transforms import bridge_join, coalesce_join, line_graph, shadow
 
@@ -98,8 +107,10 @@ _WINDOW_KEYS = {
 
 def parse_window(text: str) -> SweepWindow:
     """Parse "key=value,key=value" overrides of the default window;
-    "default" (or empty) keeps every default."""
-    window = SweepWindow()
+    "default" (or empty) keeps every default. Each value must lie between
+    1 and 4x its default: far larger grids build huge graphs (complete=100000
+    is K_100000) or count billions of tasks before the first check runs."""
+    window = default = SweepWindow()
     text = text.strip()
     if text in ("", "default"):
         return window
@@ -114,8 +125,11 @@ def parse_window(text: str) -> SweepWindow:
             number = int(value)
         except ValueError:
             raise ValueError(f"bad window value in {item!r}: expected an integer") from None
-        if number < 1:
-            raise ValueError(f"window value must be >= 1 in {item!r}")
+        cap = 4 * getattr(default, _WINDOW_KEYS[key])
+        if not 1 <= number <= cap:
+            raise ValueError(
+                f"window value {key}={number} must be from 1 to {cap} (4x its default)"
+            )
         window = replace(window, **{_WINDOW_KEYS[key]: number})
     return window
 
@@ -162,203 +176,168 @@ def _record(check, p1, p2, formula, oracle) -> VerificationRecord:
     )
 
 
-def _sub_seed(seed: int, salt: int, idx: int) -> int:
-    # splitmix-style mixing, stable across runs and processes
+def _rng(seed: int, salt: int, idx: int) -> random.Random:
+    # splitmix-style seed mixing, stable across runs and processes
     x = (seed * 0x9E3779B97F4A7C15 + salt * 0xBF58476D1CE4E5B9 + idx) & (2 ** 64 - 1)
     x ^= x >> 31
     x = (x * 0x94D049BB133111EB) & (2 ** 64 - 1)
-    return x ^ (x >> 29)
+    return random.Random(x ^ (x >> 29))
 
 
-def _random_connected(seed: int, salt: int, idx: int, max_order: int, min_order: int = 1):
-    rng = random.Random(_sub_seed(seed, salt, idx))
+def _random_graph(rng: random.Random, min_order: int, max_order: int) -> Graph:
     order = rng.randint(min_order, max_order)
     budget = rng.randint(order - 1, order * (order - 1) // 2)
-    return gen_random_connected(order, budget, rng.randrange(2 ** 32)), rng
-
-
-def _pendant_vertex_graph() -> Graph:
-    return Graph.from_edges(1, [], ["B"])
-
-
-def _bridged_case_graph(case: str, n: int) -> tuple[Graph, int]:
-    """The base family graph plus a pendant edge at the convention
-    vertex; returns the graph and the attachment vertex."""
-    if case == "path":
-        base, attach = generate(FamilySpec("path", n)), 0
-    elif case == "cycle":
-        base, attach = generate(FamilySpec("cycle", n)), 0
-    elif case == "star_leaf":
-        base, attach = generate(FamilySpec("star", n)), 1
-    elif case == "star_center":
-        base, attach = generate(FamilySpec("star", n)), 0
-    elif case == "complete":
-        base, attach = generate(FamilySpec("complete", n)), 0
-    else:
-        raise ValueError(f"unknown bridged-line case {case!r}")
-    joined, _ = bridge_join(base, attach, _pendant_vertex_graph(), 0)
-    return joined, attach
+    return gen_random_connected(order, budget, rng.randrange(2 ** 32))
 
 
 # ---------------------------------------------------------------------------
-# task evaluation (module-level so worker processes can run it)
+# checks: a task is (check, *params), and check(*params) returns its records.
+# Checks are module-level functions, so the pool pickles them by reference.
 
 def _eval_task(task) -> list[VerificationRecord]:
-    kind = task[0]
-    if kind == "family":
-        _, fam, p1, p2 = task
-        spec = FamilySpec(fam, p1, p2)
-        value = closed_form(spec)
-        oracle = graph_closeness(generate(spec)).total
-        return [_record(f"C_{fam}", p1, p2, value, oracle)]
+    check, *params = task
+    return check(*params)
 
-    if kind == "line":
-        _, fam, p1, p2 = task
-        spec = FamilySpec(fam, p1, p2)
-        value = closed_form_line(spec)
-        lg, _ = line_graph(generate(spec))
-        oracle = graph_closeness(lg).total
-        return [_record(f"CL_{fam}", p1, p2, value, oracle)]
 
-    if kind == "bridged":
-        _, case, n = task
-        values = bridged_line(case, n)
-        g, attach = _bridged_case_graph(case, n)
-        pendant_edge = (attach, g.order - 1)
-        lg, origins = line_graph(g)
-        bridge_idx = next(
-            k for k, o in enumerate(origins) if o.source == pendant_edge
-        )
-        report = graph_closeness(lg)
-        return [
-            _record(f"CLB_{case}", n, None, values.line_closeness, report.total),
-            _record(
-                f"CB_{case}", n, None,
-                values.bridge_vertex_closeness, report.per_vertex[bridge_idx],
-            ),
-        ]
+def _family(fam: str, p1: int, p2: int | None):
+    spec = FamilySpec(fam, p1, p2)
+    oracle = graph_closeness(generate(spec)).total
+    return [_record(f"C_{fam}", p1, p2, closed_form(spec), oracle)]
 
-    if kind == "shadow_instance":
-        _, fam, n = task
-        g = generate(FamilySpec(fam, n))
-        predicted = shadow_closeness(graph_closeness(g).total, g.order)
-        sg, _ = shadow(g)
-        return [_record(f"C_shadow:{fam}", n, None, predicted, graph_closeness(sg).total)]
 
-    if kind == "shadow_random":
-        _, idx, seed, max_order = task
-        g, _ = _random_connected(seed, 1, idx, max_order, min_order=2)
-        predicted = shadow_closeness(graph_closeness(g).total, g.order)
-        sg, _ = shadow(g)
-        return [
-            _record("C_shadow:random", idx, g.order, predicted, graph_closeness(sg).total)
-        ]
+def _line(fam: str, p1: int, p2: int | None):
+    spec = FamilySpec(fam, p1, p2)
+    oracle = graph_closeness(line_graph(generate(spec))[0]).total
+    return [_record(f"CL_{fam}", p1, p2, closed_form_line(spec), oracle)]
 
-    if kind == "rule_random":
-        _, idx, seed, max_order = task
-        g1, rng = _random_connected(seed, 2, idx, max_order)
-        budget2_rng = random.Random(_sub_seed(seed, 3, idx))
-        order2 = budget2_rng.randint(1, max_order)
-        budget2 = budget2_rng.randint(order2 - 1, order2 * (order2 - 1) // 2)
-        g2 = gen_random_connected(order2, budget2, budget2_rng.randrange(2 ** 32))
-        p = rng.randrange(g1.order)
-        q = budget2_rng.randrange(g2.order)
-        r1 = graph_closeness(g1)
-        r2 = graph_closeness(g2)
-        bridged, _ = bridge_join(g1, p, g2, q)
-        merged, _ = coalesce_join(g1, p, g2, q)
-        both = g1.order + g2.order
-        return [
-            _record(
-                "rule_bridge:random", idx, both,
-                compose_bridge(r1.total, r2.total, r1.per_vertex[p], r2.per_vertex[q]),
-                graph_closeness(bridged).total,
-            ),
-            _record(
-                "rule_coalesce:random", idx, both,
-                compose_coalesce(r1.total, r2.total, r1.per_vertex[p], r2.per_vertex[q]),
-                graph_closeness(merged).total,
-            ),
-        ]
 
-    if kind == "compose":
-        _, fam, m, n = task
-        if fam == "lollipop":
-            left_total = closed_form(FamilySpec("complete", m))
-            left_vertex = complete_vertex_closeness(m)
-        elif fam == "tadpole":
-            left_total = closed_form(FamilySpec("cycle", m))
-            left_vertex = cycle_vertex_closeness(m)
-        else:
-            left_total = closed_form(FamilySpec("star", m))
-            left_vertex = star_center_closeness(m)
-        if fam == "bistar":
-            right_total = closed_form(FamilySpec("star", n))
-            right_vertex = star_center_closeness(n)
-        else:
-            right_total = closed_form(FamilySpec("path", n))
-            right_vertex = path_leaf_closeness(n)
-        rebuilt = compose_bridge(left_total, right_total, left_vertex, right_vertex)
-        direct = closed_form(FamilySpec(fam, m, n))
-        return [_record(f"rule_bridge:C_{fam}", m, n, rebuilt, direct)]
+# pendant-bridge case -> (base family, vertex the pendant edge attaches to)
+_BRIDGED_BASE = {
+    "path": ("path", 0),
+    "cycle": ("cycle", 0),
+    "star_leaf": ("star", 1),
+    "star_center": ("star", 0),
+    "complete": ("complete", 0),
+}
+# the case of each family with the pendant at vertex 0, where composite parts join
+_CASE_AT_0 = {fam: case for case, (fam, attach) in _BRIDGED_BASE.items() if attach == 0}
 
-    if kind == "compose_line":
-        _, fam, m, n = task
-        left_case = {
-            "lollipop": "complete", "tadpole": "cycle",
-            "broom": "star_center", "bistar": "star_center",
-        }[fam]
-        left = bridged_line(left_case, m)
-        right = bridged_line("star_center" if fam == "bistar" else "path", n)
-        rebuilt = compose_line_bridge(
-            left.line_closeness, right.line_closeness,
-            left.bridge_vertex_closeness, right.bridge_vertex_closeness,
-        )
-        direct = closed_form_line(FamilySpec(fam, m, n))
-        return [_record(f"rule_line_bridge:CL_{fam}", m, n, rebuilt, direct)]
 
-    if kind == "shadow_mindeg":
-        _, idx, seed, max_order = task
-        rng = random.Random(_sub_seed(seed, 4, idx))
-        parts = rng.randint(1, 3)
-        edges: list[tuple[int, int]] = []
-        offset = 0
-        for _ in range(parts):
-            order = rng.randint(2, max(2, max_order // parts))
-            budget = rng.randint(order - 1, order * (order - 1) // 2)
-            comp = gen_random_connected(order, budget, rng.randrange(2 ** 32))
-            edges.extend((offset + u, offset + v) for u, v in comp.edges())
-            offset += order
-        g = Graph.from_edges(offset, edges)
-        predicted = shadow_closeness(graph_closeness(g).total, g.order)
-        sg, _ = shadow(g)
-        return [
-            _record(
-                "experiment_shadow_min_degree", idx, g.order,
-                predicted, graph_closeness(sg).total,
-            )
-        ]
+def _bridged(case: str, n: int):
+    values = bridged_line(case, n)
+    fam, attach = _BRIDGED_BASE[case]
+    base = generate(FamilySpec(fam, n))
+    g, _ = bridge_join(base, attach, Graph.from_edges(1, [], ["B"]), 0)
+    pendant_edge = (attach, g.order - 1)
+    lg, origins = line_graph(g)
+    bridge_idx = next(k for k, o in enumerate(origins) if o.source == pendant_edge)
+    report = graph_closeness(lg)
+    return [
+        _record(f"CLB_{case}", n, None, values.line_closeness, report.total),
+        _record(
+            f"CB_{case}", n, None,
+            values.bridge_vertex_closeness, report.per_vertex[bridge_idx],
+        ),
+    ]
 
-    raise ValueError(f"unknown task kind {kind!r}")
+
+def _shadow_of(check: str, p1: int, p2: int | None, g: Graph):
+    predicted = shadow_closeness(graph_closeness(g).total, g.order)
+    sg, _ = shadow(g)
+    return [_record(check, p1, p2, predicted, graph_closeness(sg).total)]
+
+
+def _shadow_instance(fam: str, n: int):
+    return _shadow_of(f"C_shadow:{fam}", n, None, generate(FamilySpec(fam, n)))
+
+
+def _shadow_random(idx: int, seed: int, max_order: int):
+    g = _random_graph(_rng(seed, 1, idx), 2, max_order)
+    return _shadow_of("C_shadow:random", idx, g.order, g)
+
+
+def _shadow_mindeg(idx: int, seed: int, max_order: int):
+    rng = _rng(seed, 4, idx)
+    parts = rng.randint(1, 3)
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for _ in range(parts):
+        comp = _random_graph(rng, 2, max(2, max_order // parts))
+        edges.extend((offset + u, offset + v) for u, v in comp.edges())
+        offset += comp.order
+    g = Graph.from_edges(offset, edges)
+    return _shadow_of("experiment_shadow_min_degree", idx, g.order, g)
+
+
+def _rule_random(idx: int, seed: int, max_order: int):
+    rng1, rng2 = _rng(seed, 2, idx), _rng(seed, 3, idx)
+    g1 = _random_graph(rng1, 1, max_order)
+    g2 = _random_graph(rng2, 1, max_order)
+    p = rng1.randrange(g1.order)
+    q = rng2.randrange(g2.order)
+    r1 = graph_closeness(g1)
+    r2 = graph_closeness(g2)
+    values = (r1.total, r2.total, r1.per_vertex[p], r2.per_vertex[q])
+    bridged, _ = bridge_join(g1, p, g2, q)
+    merged, _ = coalesce_join(g1, p, g2, q)
+    both = g1.order + g2.order
+    return [
+        _record(
+            "rule_bridge:random", idx, both,
+            compose_bridge(*values), graph_closeness(bridged).total,
+        ),
+        _record(
+            "rule_coalesce:random", idx, both,
+            compose_coalesce(*values), graph_closeness(merged).total,
+        ),
+    ]
+
+
+# closeness of vertex 0 of a composite part (a star's vertex 0 is its center)
+_VERTEX_0_CLOSENESS = {
+    "complete": complete_vertex_closeness,
+    "cycle": cycle_vertex_closeness,
+    "star": star_center_closeness,
+    "path": path_leaf_closeness,
+}
+
+
+def _compose(fam: str, m: int, n: int):
+    left, right = COMPOSITE_PARTS[fam]
+    rebuilt = compose_bridge(
+        closed_form(FamilySpec(left, m)), closed_form(FamilySpec(right, n)),
+        _VERTEX_0_CLOSENESS[left](m), _VERTEX_0_CLOSENESS[right](n),
+    )
+    direct = closed_form(FamilySpec(fam, m, n))
+    return [_record(f"rule_bridge:C_{fam}", m, n, rebuilt, direct)]
+
+
+def _compose_line(fam: str, m: int, n: int):
+    left, right = (
+        bridged_line(_CASE_AT_0[part], p) for part, p in zip(COMPOSITE_PARTS[fam], (m, n))
+    )
+    rebuilt = compose_line_bridge(
+        left.line_closeness, right.line_closeness,
+        left.bridge_vertex_closeness, right.bridge_vertex_closeness,
+    )
+    direct = closed_form_line(FamilySpec(fam, m, n))
+    return [_record(f"rule_line_bridge:CL_{fam}", m, n, rebuilt, direct)]
 
 
 # ---------------------------------------------------------------------------
 # task construction
 
-_BASIC_MIN = {"path": 1, "cycle": 3, "star": 2, "complete": 1}
-_LINE_MIN = {"path": 2, "cycle": 3, "star": 2, "complete": 1}
-_BRIDGED_MIN = {"path": 1, "cycle": 3, "star_leaf": 2, "star_center": 2, "complete": 2}
-_BRIDGED_FAMILY = {
-    "path": "path", "cycle": "cycle",
-    "star_leaf": "star", "star_center": "star", "complete": "complete",
-}
-
-
-def _composite_grid(fam: str, window: SweepWindow):
-    n_lo, n_hi = (3, window.bistar_n_max) if fam == "bistar" else (1, window.n_max)
-    for m in range(3, window.m_max + 1):
-        for n in range(n_lo, n_hi + 1):
-            yield m, n
+def _grid(fam: str, window: SweepWindow, line: bool = False):
+    """The (p1, p2) points of one family: p1 from the family minimum (2 for
+    the line graph of a path, since L(P_1) is empty), and for composites m
+    from 3 and n from the family minimum, each up to its window bound."""
+    lo1, lo2 = MINIMA[fam]
+    if lo2 is None:
+        lo = 2 if line and fam == "path" else lo1
+        hi = window.complete_max if fam == "complete" else window.basic_max
+        return ((n, None) for n in range(lo, hi + 1))
+    hi = window.bistar_n_max if fam == "bistar" else window.n_max
+    return ((m, n) for m in range(3, window.m_max + 1) for n in range(lo2, hi + 1))
 
 
 def build_tasks(
@@ -368,74 +347,40 @@ def build_tasks(
     experiment_min_degree: bool = False,
 ) -> Iterator[tuple]:
     """Yield the full deterministic task list, optionally filtered by family."""
-
-    def wanted(fam: str) -> bool:
-        return families is None or fam in families
-
-    for fam in ("path", "cycle", "star"):
-        if wanted(fam):
+    wanted = [fam for fam in FAMILIES if families is None or fam in families]
+    for check in (_family, _line):
+        for fam in wanted:
             yield from (
-                ("family", fam, n, None)
-                for n in range(_BASIC_MIN[fam], window.basic_max + 1)
+                (check, fam, p1, p2) for p1, p2 in _grid(fam, window, check is _line)
             )
-    if wanted("complete"):
-        yield from (
-            ("family", "complete", n, None) for n in range(1, window.complete_max + 1)
-        )
-    for fam in ("lollipop", "tadpole", "broom", "bistar"):
-        if wanted(fam):
-            yield from (("family", fam, m, n) for m, n in _composite_grid(fam, window))
 
-    for fam in ("path", "cycle", "star"):
-        if wanted(fam):
-            yield from (
-                ("line", fam, n, None)
-                for n in range(_LINE_MIN[fam], window.basic_max + 1)
-            )
-    if wanted("complete"):
-        yield from (
-            ("line", "complete", n, None) for n in range(1, window.complete_max + 1)
-        )
-    for fam in ("lollipop", "tadpole", "broom", "bistar"):
-        if wanted(fam):
-            yield from (("line", fam, m, n) for m, n in _composite_grid(fam, window))
-
-    for case in ("path", "cycle", "star_leaf", "star_center", "complete"):
-        if wanted(_BRIDGED_FAMILY[case]):
-            yield from (
-                ("bridged", case, n)
-                for n in range(_BRIDGED_MIN[case], window.bridged_max + 1)
-            )
+    for case, (fam, _) in _BRIDGED_BASE.items():
+        if fam in wanted:
+            lo = BRIDGED_CASES[case]
+            yield from ((_bridged, case, n) for n in range(lo, window.bridged_max + 1))
 
     if families is None:
+        for fam in ("complete", "star"):
+            yield from (
+                (_shadow_instance, fam, n) for n in range(2, window.shadow_max_order + 1)
+            )
+        yield (_shadow_instance, "path", 5)
         yield from (
-            ("shadow_instance", "complete", n)
-            for n in range(2, window.shadow_max_order + 1)
-        )
-        yield from (
-            ("shadow_instance", "star", n)
-            for n in range(2, window.shadow_max_order + 1)
-        )
-        yield ("shadow_instance", "path", 5)
-        yield from (
-            ("shadow_random", i, seed, window.shadow_max_order)
+            (_shadow_random, i, seed, window.shadow_max_order)
             for i in range(window.shadow_cases)
         )
         yield from (
-            ("rule_random", i, seed, window.pair_max_order)
-            for i in range(window.pair_cases)
+            (_rule_random, i, seed, window.pair_max_order) for i in range(window.pair_cases)
         )
 
-    for fam in ("lollipop", "tadpole", "broom", "bistar"):
-        if wanted(fam):
-            yield from (("compose", fam, m, n) for m, n in _composite_grid(fam, window))
-            yield from (
-                ("compose_line", fam, m, n) for m, n in _composite_grid(fam, window)
-            )
+    for fam in wanted:
+        if fam in COMPOSITE_PARTS:
+            for check in (_compose, _compose_line):
+                yield from ((check, fam, m, n) for m, n in _grid(fam, window))
 
     if experiment_min_degree and families is None:
         yield from (
-            ("shadow_mindeg", i, seed, window.shadow_max_order)
+            (_shadow_mindeg, i, seed, window.shadow_max_order)
             for i in range(window.shadow_cases)
         )
 

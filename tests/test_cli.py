@@ -216,6 +216,21 @@ def test_verify_family_filter(tmp_path, capsys):
     assert rows and all(row.split(",")[0].split(":")[0].endswith(("star", "star_leaf", "star_center")) for row in rows)
 
 
+def test_verify_window_above_cap_exit_2(tmp_path, capsys, monkeypatch):
+    import closegraph.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+    monkeypatch.setattr(cli_module, "run_all", refuse)
+    out_dir = tmp_path / "records"
+    code, _, err = run(capsys, "verify", "--window", "complete=1000000", "-o", str(out_dir))
+    assert code == 2
+    assert err == "error: window value complete=1000000 must be from 1 to 96 (4x its default)\n"
+    assert not out_dir.exists()
+
+
 def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     from closegraph.dyadic import Dyadic
     from closegraph.verify import VerificationRecord

@@ -37,11 +37,8 @@ def test_arith_examples():
 
 def test_pow2():
     assert Dyadic.pow2(0) == Dyadic(1)
-    assert Dyadic.pow2(3, negated=True) == Dyadic(1, 3)
     assert Dyadic.pow2(10) == Dyadic(1024)
     assert Dyadic.pow2(-3) == Dyadic(1, 3)
-    with pytest.raises(ValueError):
-        Dyadic.pow2(-1, negated=True)
 
 
 def test_comparisons():
@@ -107,6 +104,10 @@ def test_arithmetic_matches_big_rationals(p, e1, q, e2):
     assert (a * b).as_fraction() == fa * fb
     assert (a == b) == (fa == fb)
     assert (a < b) == (fa < fb)
+    assert (a <= b) == (fa <= fb)
+    assert (a > b) == (fa > fb)
+    assert (a >= b) == (fa >= fb)
+    assert (a < q) == (fa < q) and (a >= q) == (fa >= q)
 
 
 @settings(max_examples=200, deadline=None)

@@ -138,9 +138,9 @@ def test_bridged_line_matches_oracle(case, attach, n):
 def test_bridged_line_bounds():
     for case, bad in [("path", 0), ("cycle", 2), ("star_leaf", 1),
                       ("star_center", 1), ("complete", 1)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^{case} case requires n >= {bad + 1}, got {bad}$"):
             bridged_line(case, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown bridged-line case 'wheel'; choose from \('path', "):
         bridged_line("wheel", 4)
 
 

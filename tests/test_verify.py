@@ -4,6 +4,7 @@ import pytest
 
 from closegraph.dyadic import Dyadic
 from closegraph.verify import (
+    _WINDOW_KEYS,
     SweepWindow,
     VerificationRecord,
     build_tasks,
@@ -157,15 +158,35 @@ def test_jobs_argument_below_one_rejected():
 
 
 def test_family_filter():
-    records = run_all(window=SMALL, seed=99, families={"cycle"})
-    kinds = {r.check for r in records}
-    assert kinds == {"C_cycle", "CL_cycle", "CLB_cycle", "CB_cycle"}
-    records = run_all(window=SMALL, seed=99, families={"tadpole"})
-    kinds = {r.check for r in records}
-    assert kinds == {
-        "C_tadpole", "CL_tadpole",
-        "rule_bridge:C_tadpole", "rule_line_bridge:CL_tadpole",
-    }
+    # each family's pendant-bridge cases; composites get both composition rules
+    bridged = {"path": ["path"], "cycle": ["cycle"], "star": ["star_leaf", "star_center"],
+               "complete": ["complete"]}
+    for family in ("path", "cycle", "star", "complete",
+                   "lollipop", "tadpole", "broom", "bistar"):
+        records = run_all(window=SMALL, seed=99, families={family})
+        want = {f"C_{family}", f"CL_{family}"}
+        want |= {f"{kind}_{case}" for case in bridged.get(family, []) for kind in ("CLB", "CB")}
+        if family not in bridged:
+            want |= {f"rule_bridge:C_{family}", f"rule_line_bridge:CL_{family}"}
+        assert {r.check for r in records} == want, family
+
+
+def test_records_pinned_for_small_window(tmp_path):
+    # the record order and bytes of one small sweep with every check kind,
+    # the min-degree experiment included
+    import hashlib
+
+    records = run_all(window=SMALL, seed=99, experiment_min_degree=True)
+    assert len(records) == 358
+    write_csv(records, tmp_path / "records.csv")
+    write_json(records, tmp_path / "records.json")
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest("records.csv") == (
+        "14e86a7d188592592a24cc1a374c9c451eb70568213443e2cefc71c743a67f31"
+    )
+    assert digest("records.json") == (
+        "497a36b5b3e94525f95e71b2d11b0c688003951258955638ee673345faf8af3c"
+    )
 
 
 def test_experiment_records_reported_not_asserted():
@@ -228,6 +249,22 @@ def test_parse_window():
     for bad in ("nope=3", "basic", "basic=x", "basic=0"):
         with pytest.raises(ValueError):
             parse_window(bad)
+
+
+@pytest.mark.parametrize("key, field", sorted(_WINDOW_KEYS.items()))
+def test_parse_window_caps_each_value_at_four_times_its_default(key, field, monkeypatch):
+    from closegraph.graph import Graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(refuse))
+    cap = 4 * getattr(SweepWindow(), field)
+    assert getattr(parse_window(f"{key}={cap}"), field) == cap
+    for bad in (cap + 1, 10 ** 9, 0):
+        message = rf"^window value {key}={bad} must be from 1 to {cap} \(4x its default\)$"
+        with pytest.raises(ValueError, match=message):
+            parse_window(f"basic=2,{key}={bad}")
 
 
 def test_task_list_deterministic():
