@@ -179,6 +179,7 @@ def _cmd_vuln(args) -> int:
             for w in report.witnesses
         ]
         print(f"witnesses: {' '.join(parts)}")
+        print(f"evaluated: {report.evaluated} of {report.candidates} candidates")
     return 0
 
 

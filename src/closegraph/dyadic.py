@@ -14,7 +14,8 @@ from functools import total_ordering
 
 __all__ = ["Dyadic"]
 
-_CANONICAL_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
+# ASCII digits only: \d and int() would also take other Unicode digits
+_CANONICAL_RE = re.compile(r"(-?[0-9]+)/2\^([0-9]+)")
 
 
 @total_ordering
@@ -53,7 +54,7 @@ class Dyadic:
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse the canonical "n/2^e" form."""
-        m = _CANONICAL_RE.match(text.strip())
+        m = _CANONICAL_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"not a canonical dyadic string: {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))

@@ -170,6 +170,7 @@ def test_vuln_text_and_json(tmp_path, capsys):
     assert code == 0
     assert "value:     5/2^1  (= 2.5)" in out
     assert "witnesses: (0,1) (0,2) (1,2)" in out
+    assert "evaluated: 3 of 3 candidates" in out
     code, out, _ = run(capsys, "vuln", "vertex", "-i", str(src), "--format", "json")
     payload = json.loads(out)
     assert payload["measure"] == "vertex_residual"

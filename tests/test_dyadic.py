@@ -58,6 +58,18 @@ def test_canonical_and_parse():
         Dyadic.parse("3/4")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["\u0661/2^\u0663", "1/2^\u0663", "\u0661/2^3", "\uff11\uff11/2^1", "-\u09e7/2^0",
+     "11/2^1x", "x11/2^1", "11/2^1\n3"],
+    ids=["arabic-indic", "exponent", "numerator", "fullwidth", "bengali", "suffix",
+         "prefix", "second-line"],
+)
+def test_parse_rejects_non_ascii_digits_and_extra_text(text):
+    with pytest.raises(ValueError, match="not a canonical dyadic string"):
+        Dyadic.parse(text)
+
+
 def test_float_is_approximate_rendering():
     assert float(Dyadic(11, 1)) == 5.5
     assert float(Dyadic(49, 3)) == 6.125
@@ -115,3 +127,11 @@ def test_arithmetic_matches_big_rationals(p, e1, q, e2):
 def test_round_trip_expansion(n, e, extra):
     # n/2^e written with a larger exponent compares equal
     assert Dyadic(n << extra, e + extra) == Dyadic(n, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nums, exps)
+def test_canonical_round_trips_through_parse(n, e):
+    d = Dyadic(n, e)
+    back = Dyadic.parse(d.canonical())
+    assert (back.numerator, back.exponent) == (d.numerator, d.exponent)
