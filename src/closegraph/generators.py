@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph
+from .graph import MAX_ORDER, Graph, _parse_int
 from .transforms import bridge_join
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "MINIMA",
     "COMPOSITE_PARTS",
     "FamilySpec",
+    "check_family",
     "parse_family_spec",
     "gen_basic",
     "gen_composite",
@@ -63,17 +64,22 @@ MINIMA = {
 }
 
 
+def check_family(name: str) -> None:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family with integer parameters (p2 iff composite)."""
+    """A named graph family with integer parameters (p2 iff composite).
+    Building one checks the parameters and the size of the graph."""
 
     family: str
     p1: int
     p2: int | None = None
 
-    def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+    def __post_init__(self):
+        check_family(self.family)
         lo1, lo2 = MINIMA[self.family]
         if lo2 is None and self.p2 is not None:
             raise ValueError(f"{self.family} takes one parameter, got two")
@@ -83,6 +89,13 @@ class FamilySpec:
             raise ValueError(f"{self.family} requires p1 >= {lo1}, got {self.p1}")
         if lo2 is not None and self.p2 < lo2:
             raise ValueError(f"{self.family} requires p2 >= {lo2}, got {self.p2}")
+        # max(vertices, edges): only a complete part K_m has more edges
+        # than vertices, m(m-1)/2 = m + m(m-3)/2
+        size = self.p1 + (self.p2 or 0)
+        if self.family in ("complete", "lollipop"):
+            size += max(0, self.p1 * (self.p1 - 3) // 2)
+        if size > MAX_ORDER:
+            raise ValueError(f"{self} has more than {MAX_ORDER} vertices or edges")
 
     def __str__(self):
         if self.p2 is None:
@@ -99,17 +112,14 @@ def parse_family_spec(text: str) -> FamilySpec:
     if len(parts) not in (1, 2):
         raise ValueError(f"bad family spec {text!r}: expected one or two parameters")
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [_parse_int(p) for p in parts]
     except ValueError:
         raise ValueError(f"bad family spec {text!r}: parameters must be integers") from None
-    spec = FamilySpec(name.strip(), numbers[0], numbers[1] if len(numbers) == 2 else None)
-    spec.validate()
-    return spec
+    return FamilySpec(name.strip(), *numbers)
 
 
 def gen_basic(spec: FamilySpec) -> Graph:
     """Build one of path, cycle, star, complete."""
-    spec.validate()
     n = spec.p1
     if spec.family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -128,7 +138,6 @@ def gen_basic(spec: FamilySpec) -> Graph:
 
 def gen_composite(spec: FamilySpec) -> Graph:
     """Build one of lollipop, tadpole, broom, bistar via a bridge join."""
-    spec.validate()
     if spec.family not in COMPOSITE_PARTS:
         raise ValueError(f"{spec.family} is not a composite family")
     left, right = (

@@ -9,7 +9,6 @@ are exact :class:`~closegraph.dyadic.Dyadic` numbers, never floats.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .dyadic import Dyadic
@@ -44,8 +43,17 @@ MAX_ORDER = 100_000
 _BLOCK = 1024
 _BLOCK_BITS = 1 << 25
 
-# One edge-list number: ASCII digits with an optional leading '-'.
+# One integer of any text input: ASCII digits with an optional leading '-'.
 _INTEGER = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """int(text) for a text that is an _INTEGER once stripped of blanks;
+    int() alone also takes "+3", "1_0" and non-ASCII digits."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 class Graph:
@@ -101,13 +109,7 @@ class Graph:
                     yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.order and 0 <= v < self.order):
-            return False
-        a = self.adj[u]
-        if len(a) > 8:
-            k = bisect_left(a, v)
-            return k < len(a) and a[k] == v
-        return v in a
+        return 0 <= u < self.order and 0 <= v < self.order and v in self.adj[u]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

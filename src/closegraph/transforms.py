@@ -84,15 +84,18 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
     return Graph.from_edges(len(edge_list), ledges, labels), origins
 
 
+def _check_join_vertices(g1: Graph, p: int, g2: Graph, q: int) -> None:
+    for side, g, v in (("left", g1, p), ("right", g2, q)):
+        if not 0 <= v < g.order:
+            raise IndexError(f"vertex {v} out of range for {side} graph of order {g.order}")
+
+
 def bridge_join(g1: Graph, p: int, g2: Graph, q: int) -> tuple[Graph, list[Origin]]:
     """Disjoint union of g1 and g2 plus the single edge (p, q').
 
     g1 keeps its indices; g2's vertex j becomes |g1| + j.
     """
-    if not (0 <= p < g1.order):
-        raise IndexError(f"vertex {p} out of range for left graph of order {g1.order}")
-    if not (0 <= q < g2.order):
-        raise IndexError(f"vertex {q} out of range for right graph of order {g2.order}")
+    _check_join_vertices(g1, p, g2, q)
     n1 = g1.order
     edges = list(g1.edges())
     edges.extend((n1 + u, n1 + v) for u, v in g2.edges())
@@ -109,19 +112,11 @@ def coalesce_join(g1: Graph, p: int, g2: Graph, q: int) -> tuple[Graph, list[Ori
     N(p) union N(q). The merged vertex keeps p's index; g2's remaining
     vertices follow g1's in their original order.
     """
-    if not (0 <= p < g1.order):
-        raise IndexError(f"vertex {p} out of range for left graph of order {g1.order}")
-    if not (0 <= q < g2.order):
-        raise IndexError(f"vertex {q} out of range for right graph of order {g2.order}")
+    _check_join_vertices(g1, p, g2, q)
     n1 = g1.order
-    remap = {}
-    nxt = n1
-    for j in range(g2.order):
-        if j == q:
-            remap[j] = p
-        else:
-            remap[j] = nxt
-            nxt += 1
+    # g2's vertices after q move down one place, into the gap q leaves
+    remap = {j: n1 + j - (j > q) for j in range(g2.order)}
+    remap[q] = p
     edges = list(g1.edges())
     edges.extend((min(remap[u], remap[v]), max(remap[u], remap[v])) for u, v in g2.edges())
     labels = list(g1.labels) + [g2.labels[j] for j in range(g2.order) if j != q]
@@ -144,14 +139,10 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Add the edge (u, v); endpoints must be distinct and non-adjacent."""
-    if not (0 <= u < g.order and 0 <= v < g.order):
-        raise ValueError(f"edge ({u}, {v}) out of range for order {g.order}")
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) already present")
     edges = list(g.edges())
-    edges.append((min(u, v), max(u, v)))
+    edges.append((u, v))
     return Graph.from_edges(g.order, edges, g.labels)
 
 

@@ -54,10 +54,11 @@ from .generators import (
     FAMILIES,
     MINIMA,
     FamilySpec,
+    check_family,
     gen_random_connected,
     generate,
 )
-from .graph import Graph, graph_closeness
+from .graph import Graph, _parse_int, graph_closeness
 from .transforms import bridge_join, coalesce_join, line_graph, shadow
 
 __all__ = [
@@ -122,7 +123,7 @@ def parse_window(text: str) -> SweepWindow:
                 f"bad window item {item!r}; keys: {', '.join(sorted(_WINDOW_KEYS))}"
             )
         try:
-            number = int(value)
+            number = _parse_int(value)
         except ValueError:
             raise ValueError(f"bad window value in {item!r}: expected an integer") from None
         cap = 4 * getattr(default, _WINDOW_KEYS[key])
@@ -392,7 +393,7 @@ def _worker_count(jobs: int | None, tasks: int) -> int:
     if jobs is None:
         name, raw = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR, "1")
         try:
-            jobs = int(raw)
+            jobs = _parse_int(raw)
         except ValueError:
             raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     if jobs < 1:
@@ -409,11 +410,13 @@ def run_all(
 ) -> list[VerificationRecord]:
     """Run every sweep and return records in deterministic order.
 
-    jobs defaults to the CLOSEGRAPH_JOBS environment variable (or 1); a
-    value that is not an integer >= 1 raises ValueError. At most one
-    worker per core and per task is started. The record order does not
-    depend on the parallelism degree.
+    families must be names in FAMILIES. jobs defaults to CLOSEGRAPH_JOBS
+    (or 1); a value that is not an integer >= 1 raises ValueError. At most
+    one worker per core and per task is started. The record order does
+    not depend on the parallelism degree.
     """
+    for fam in sorted(families or ()):
+        check_family(fam)
     if window is None:
         window = SweepWindow()
     grid = (window, seed, families, experiment_min_degree)

@@ -1,12 +1,18 @@
 """CLI subcommands: round trips, formats, exit codes."""
 
 import json
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from closegraph import vulnerability
 from closegraph.cli import _closeness_json, main
 from closegraph.generators import gen_random_connected
-from closegraph.graph import Graph, format_edgelist, graph_closeness, parse_edgelist
+from closegraph.graph import MAX_ORDER, Graph, format_edgelist, graph_closeness, parse_edgelist
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -185,7 +191,7 @@ def test_oversized_header_exit_2(tmp_path, capsys):
     assert "line 1: header declares 100000000 vertices" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "1_0", "+3", "\u0663"])
 def test_verify_bad_jobs_exit_2(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("CLOSEGRAPH_JOBS", value)
     code, _, err = run(capsys, "verify", "--family", "cycle", "-o", str(tmp_path))
@@ -257,6 +263,12 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
         ("closeness", "-i", "/nonexistent/file"),
         ("verify", "--window", "bogus=1", "-o", "."),
         ("verify", "--family", "wheel", "-o", "."),
+        ("gen", "path:1_0"),
+        ("gen", "path:+3"),
+        ("gen", "path:\u0663"),
+        ("verify", "--window", "basic=1_6", "-o", "."),
+        ("verify", "--window", "basic=+3", "-o", "."),
+        ("verify", "--window", "basic=\u0663", "-o", "."),
     ],
 )
 def test_validation_errors_exit_2(capsys, argv):
@@ -283,6 +295,62 @@ def test_bridge_join_bad_index_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "out of range" in err
+
+
+def _bounded_run(capsys, *argv):
+    """Run the CLI, returning its exit code, stderr, tracemalloc peak and wall time."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run(capsys, *argv)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, err, peak, seconds
+
+
+def test_gen_over_size_limit_exit_2(capsys):
+    # K_100000 would have about 5 * 10**9 edges
+    code, err, peak, seconds = _bounded_run(capsys, "gen", "complete:100000")
+    assert code == 2
+    assert err == f"error: complete:100000 has more than {MAX_ORDER} vertices or edges\n"
+    assert peak < 256 * 1024 and seconds < 1.0  # the peak includes building the parser
+
+
+def test_vuln_over_order_cap_exit_2(tmp_path, capsys):
+    n = vulnerability.MAX_ORDER + 1
+    path = tmp_path / "long.edges"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    code, err, peak, seconds = _bounded_run(capsys, "vuln", "additional", "-i", str(path))
+    assert code == 2
+    assert err == f"error: vulnerability measures take at most {n - 1} vertices, got {n}\n"
+    # parsing the file takes a few hundred KiB; _Balls would take about 200 MiB
+    assert peak < 2 * 1024 * 1024 and seconds < 1.0
+
+
+PINNED_GEN = {"lollipop4_3": "lollipop:4,3", "bistar4_3": "bistar:4,3"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GEN))
+@pytest.mark.parametrize("fmt, suffix", [("edgelist", "edges"), ("dot", "dot")])
+def test_gen_output_pinned(capsys, name, fmt, suffix):
+    code, out, _ = run(capsys, "gen", PINNED_GEN[name], "-f", fmt)
+    assert code == 0
+    assert out == (DATA / f"{name}.{suffix}").read_text()
+
+
+@pytest.mark.parametrize("op", ["line", "shadow", "bridge-join", "coalesce"])
+def test_transform_output_pinned(tmp_path, capsys, op):
+    source = str(DATA / "path60_chords6_seed0.edges")
+    join = ["-p", "0", "-j", source, "-q", "59"] if op in ("bridge-join", "coalesce") else []
+    out_path = tmp_path / f"{op}.dot"
+    code, _, _ = run(capsys, "transform", op, "-i", source, *join, "-f", "dot", "-o", str(out_path))
+    assert code == 0
+    pinned = DATA / f"path60_chords6_seed0.{op}.dot"
+    assert out_path.read_text() == pinned.read_text()
+    sidecar = Path(f"{out_path}.origins.json")
+    assert sidecar.read_text() == Path(f"{pinned}.origins.json").read_text()
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,16 +1,19 @@
 """Family generators: shapes, conventions, reproducibility."""
 
+import re
+import tracemalloc
+
 import pytest
 
 from closegraph.generators import (
+    FAMILIES,
     FamilySpec,
     gen_basic,
     gen_composite,
     gen_random_connected,
-    generate,
     parse_family_spec,
 )
-from closegraph.graph import bfs_distances
+from closegraph.graph import MAX_ORDER, bfs_distances
 
 
 def degree_sequence(g):
@@ -87,30 +90,66 @@ def test_composite_edge_counts(family, m, n, edges):
 @pytest.mark.parametrize(
     "spec",
     [
-        FamilySpec("cycle", 2),
-        FamilySpec("star", 1),
-        FamilySpec("path", 0),
-        FamilySpec("tadpole", 2, 1),
-        FamilySpec("broom", 2, 1),
-        FamilySpec("bistar", 3, 2),
-        FamilySpec("lollipop", 0, 1),
-        FamilySpec("path", 3, 4),
-        FamilySpec("lollipop", 3, None),
-        FamilySpec("nonsense", 3),
+        (("cycle", 2), "cycle requires p1 >= 3, got 2"),
+        (("star", 1), "star requires p1 >= 2, got 1"),
+        (("path", 0), "path requires p1 >= 1, got 0"),
+        (("tadpole", 2, 1), "tadpole requires p1 >= 3, got 2"),
+        (("broom", 2, 1), "broom requires p1 >= 3, got 2"),
+        (("bistar", 3, 2), "bistar requires p2 >= 3, got 2"),
+        (("lollipop", 0, 1), "lollipop requires p1 >= 1, got 0"),
+        (("path", 3, 4), "path takes one parameter, got two"),
+        (("lollipop", 3, None), "lollipop takes two parameters, got one"),
+        (("nonsense", 3), f"unknown family 'nonsense'; choose from {FAMILIES}"),
     ],
 )
 def test_validation_rejects(spec):
-    with pytest.raises(ValueError):
-        generate(spec)
+    # an invalid spec cannot be built, and says why
+    args, message = spec
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilySpec(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("path", MAX_ORDER), ("cycle", MAX_ORDER), ("star", MAX_ORDER), ("complete", 447),
+     ("lollipop", 447, 319), ("tadpole", 3, MAX_ORDER - 3), ("bistar", 3, MAX_ORDER - 3)],
+)
+def test_size_limit_admits_graphs_up_to_max_order(args):
+    # K_447 has 99,681 edges; the lollipop adds 319 vertices and edges to it
+    FamilySpec(*args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("path", MAX_ORDER + 1), ("complete", 448), ("complete", 100_000), ("lollipop", 447, 320),
+     ("broom", 3, MAX_ORDER - 2), ("bistar", 10**12, 3)],
+)
+def test_size_limit_rejects_larger_graphs_before_building(args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than {MAX_ORDER} vertices or edges$"):
+            FamilySpec(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_parse_family_spec():
     assert parse_family_spec("path:5") == FamilySpec("path", 5)
     assert parse_family_spec("lollipop:3,2") == FamilySpec("lollipop", 3, 2)
     assert parse_family_spec("bistar:4,3") == FamilySpec("bistar", 4, 3)
+    assert parse_family_spec(" path : 5 ") == FamilySpec("path", 5)
     for bad in ("path", "path:", "path:a", "lollipop:3", "path:1,2,3", "cycle:2"):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
+
+
+@pytest.mark.parametrize("text", ["path:1_0", "path:+3", "path:\u0663", "lollipop:3,1_0"])
+def test_parse_family_spec_takes_only_ascii_integers(text):
+    message = f"bad family spec {text!r}: parameters must be integers"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_family_spec(text)
 
 
 def connected(g):

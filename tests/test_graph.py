@@ -47,6 +47,14 @@ def test_adjacency_sorted_and_symmetric():
     assert not g.has_edge(0, 3)
 
 
+def test_has_edge_on_a_high_degree_vertex():
+    hub = generate(FamilySpec("star", 20))  # the center has degree 19
+    assert all(hub.has_edge(0, v) and hub.has_edge(v, 0) for v in range(1, 20))
+    assert not hub.has_edge(0, 0) and not hub.has_edge(1, 2)
+    for u, v in [(0, 20), (20, 0), (-1, 0), (0, -1)]:
+        assert not hub.has_edge(u, v)
+
+
 def test_bfs_path():
     g = build(3, [(0, 1), (1, 2)])
     assert bfs_distances(g, 0) == [0, 1, 2]

@@ -1,5 +1,7 @@
 """Graph operations: shadow, line graph, joins, edits, origin tables."""
 
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,22 @@ def test_bridge_join_index_errors():
         bridge_join(g, 0, g, -1)
 
 
+@pytest.mark.parametrize("join", [bridge_join, coalesce_join])
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (2, 0, "vertex 2 out of range for left graph of order 2"),
+        (-1, 0, "vertex -1 out of range for left graph of order 2"),
+        (0, 3, "vertex 3 out of range for right graph of order 3"),
+        (0, -1, "vertex -1 out of range for right graph of order 3"),
+        (5, 5, "vertex 5 out of range for left graph of order 2"),
+    ],
+)
+def test_join_index_error_messages(join, p, q, message):
+    with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
+        join(build(2, [(0, 1)]), p, build(3, [(0, 1), (1, 2)]), q)
+
+
 def test_coalesce_two_edges_makes_path3():
     p2 = generate(FamilySpec("path", 2))
     merged, origins = coalesce_join(p2, 0, p2, 0)
@@ -198,6 +216,8 @@ def test_delete_edge_from_cycle():
 def test_add_edge_closes_path():
     g = add_edge(generate(FamilySpec("path", 3)), 0, 2)
     assert g == generate(FamilySpec("cycle", 3))
+    # endpoints given high first still give sorted adjacency lists
+    assert add_edge(generate(FamilySpec("path", 4)), 3, 0) == generate(FamilySpec("cycle", 4))
 
 
 def test_delete_vertex_star_center():
@@ -225,6 +245,23 @@ def test_edit_precondition_errors():
         add_edge(g, 1, 1)
     with pytest.raises(ValueError):
         delete_vertex(g, 3)
+
+
+@pytest.mark.parametrize(
+    "u, v, message",
+    [
+        (0, 1, "edge (0, 1) already present"),
+        (1, 0, "edge (1, 0) already present"),
+        (1, 1, "self-loop at vertex 1"),
+        (3, 3, "edge (3, 3) out of range for order 3"),
+        (5, 1, "edge (5, 1) out of range for order 3"),
+        (1, 5, "edge (1, 5) out of range for order 3"),
+        (-1, 0, "edge (-1, 0) out of range for order 3"),
+    ],
+)
+def test_add_edge_error_messages(u, v, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        add_edge(generate(FamilySpec("path", 3)), u, v)
 
 
 # --- differential tests against networkx ------------------------------------

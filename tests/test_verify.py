@@ -1,8 +1,11 @@
 """Sweep harness: record shapes, determinism, parallel equivalence."""
 
+import re
+
 import pytest
 
 from closegraph.dyadic import Dyadic
+from closegraph.generators import FAMILIES
 from closegraph.verify import (
     _WINDOW_KEYS,
     SweepWindow,
@@ -141,6 +144,9 @@ def test_jobs_clamped_to_cores_and_tasks(small_records, recording_pool, monkeypa
         ("", "CLOSEGRAPH_JOBS must be an integer"),
         ("0", "CLOSEGRAPH_JOBS must be at least 1, got 0"),
         ("-3", "CLOSEGRAPH_JOBS must be at least 1, got -3"),
+        ("1_0", "CLOSEGRAPH_JOBS must be an integer, got '1_0'"),
+        ("+3", r"CLOSEGRAPH_JOBS must be an integer, got '\+3'"),
+        ("\u0663", "CLOSEGRAPH_JOBS must be an integer, got '\u0663'"),
     ],
 )
 def test_bad_jobs_env_var_rejected(value, message, recording_pool, monkeypatch):
@@ -150,6 +156,13 @@ def test_bad_jobs_env_var_rejected(value, message, recording_pool, monkeypatch):
     with pytest.raises(ValueError, match=message):
         run_all(window=SMALL, seed=99, families={"cycle"})
     assert recording_pool.sizes == []
+
+
+@pytest.mark.parametrize("families", [{"wheel"}, {"cycle", "wheel"}])
+def test_unknown_family_rejected(families):
+    message = f"unknown family 'wheel'; choose from {FAMILIES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_all(window=SMALL, seed=99, families=families, jobs=1)
 
 
 def test_jobs_argument_below_one_rejected():
@@ -249,6 +262,14 @@ def test_parse_window():
     for bad in ("nope=3", "basic", "basic=x", "basic=0"):
         with pytest.raises(ValueError):
             parse_window(bad)
+    assert parse_window(" basic = 12 ").basic_max == 12
+
+
+@pytest.mark.parametrize("item", ["basic=1_6", "basic=+3", "basic=\u0663"])
+def test_parse_window_takes_only_ascii_integers(item):
+    message = f"bad window value in {item!r}: expected an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_window(item)
 
 
 @pytest.mark.parametrize("key, field", sorted(_WINDOW_KEYS.items()))
