@@ -18,8 +18,11 @@ Composite graphs index the left part first, so the bridge is always
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, combinations
 
 from .graph import MAX_ORDER, Graph, _parse_int
 from .transforms import bridge_join
@@ -173,10 +176,38 @@ def gen_random_connected(order: int, edge_budget: int, seed: int) -> Graph:
     for v in range(1, order):
         u = rng.randrange(v)
         edges.add((u, v))
-    spare = [
-        (u, v) for u, v in combinations(range(order), 2) if (u, v) not in edges
-    ]
     extra = edge_budget - (order - 1)
     if extra:
-        edges.update(rng.sample(spare, extra))
+        edges.update(rng.sample(_SparePairs(order, edges), extra))
     return Graph.from_edges(order, sorted(edges))
+
+
+class _SparePairs(Sequence):
+    """The pairs (u, v), u < v < order, outside tree, in lexicographic
+    order, without a list of them. rng.sample either iterates a small
+    population or reads the k items it picks by index (0 <= i < len),
+    so it draws the same pairs from this view as from the list."""
+
+    def __init__(self, order: int, tree: set):
+        self.order, self.tree = order, tree
+
+    def __len__(self) -> int:
+        return self.order * (self.order - 1) // 2 - len(self.tree)
+
+    def __iter__(self):
+        tree = self.tree
+        return (e for e in combinations(range(self.order), 2) if e not in tree)
+
+    @cached_property
+    def _index(self) -> tuple[list[int], list[int]]:
+        # pair (u, v) is at rows[u] + v - u - 1 among all pairs, and the
+        # i-th spare pair has bisect_right(before, i) tree pairs before it
+        rows = list(accumulate(range(self.order - 1, 0, -1), initial=0))
+        taken = sorted([rows[u] + v - u - 1 for u, v in self.tree])
+        return rows, [t - k for k, t in enumerate(taken)]
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        rows, before = self._index
+        p = i + bisect_right(before, i)
+        u = bisect_right(rows, p) - 1
+        return u, p - rows[u] + u + 1

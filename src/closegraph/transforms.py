@@ -10,6 +10,7 @@ bridge edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .graph import Graph
 
@@ -23,6 +24,12 @@ __all__ = [
     "delete_vertex",
     "add_edge",
 ]
+
+# Most edges line_graph builds, about 250 B each. The line graph of a
+# star is complete, so L(S_100000) would take about 1 TB; the sweep's
+# largest, L(K_128 plus a pendant edge) at the bridged window cap, has
+# 1,024,255 edges.
+MAX_LINE_EDGES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,16 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
     """Edge-to-vertex dual: one vertex per edge of g, adjacent iff the
     edges share an endpoint. Vertices are ordered by their (u, v)
     endpoint pair, u < v, lexicographically.
+
+    Raises ValueError, before building anything, when the line graph
+    would have more than MAX_LINE_EDGES edges.
     """
+    degrees = list(map(len, g.adj))
+    size = (sum(map(mul, degrees, degrees)) - sum(degrees)) // 2  # Σ deg (deg - 1) / 2
+    if size > MAX_LINE_EDGES:
+        raise ValueError(
+            f"line graph would have {size} edges, more than the limit of {MAX_LINE_EDGES}"
+        )
     edge_list = list(g.edges())
     index = {e: k for k, e in enumerate(edge_list)}
     ledges = []

@@ -329,6 +329,18 @@ def test_vuln_over_order_cap_exit_2(tmp_path, capsys):
     assert peak < 2 * 1024 * 1024 and seconds < 1.0
 
 
+def test_transform_line_over_size_limit_exit_2(tmp_path, capsys):
+    # L(S_1500) is K_1499, with 1,122,751 edges
+    src, out_path = tmp_path / "star.edges", tmp_path / "line.edges"
+    src.write_text("1500 1499\n" + "".join(f"0 {v}\n" for v in range(1, 1500)))
+    code, err, peak, seconds = _bounded_run(capsys, "transform", "line", "-i", str(src), "-o", str(out_path))
+    assert code == 2
+    assert err == "error: line graph would have 1122751 edges, more than the limit of 1048576\n"
+    assert not out_path.exists()
+    # parsing the star takes a few hundred KiB; its line graph would take about 280 MiB
+    assert peak < 2 * 1024 * 1024 and seconds < 1.0
+
+
 PINNED_GEN = {"lollipop4_3": "lollipop:4,3", "bistar4_3": "bistar:4,3"}
 
 

@@ -1,10 +1,13 @@
 """Family generators: shapes, conventions, reproducibility."""
 
+import random
 import re
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
+from closegraph import generators
 from closegraph.generators import (
     FAMILIES,
     FamilySpec,
@@ -188,3 +191,52 @@ def test_random_connected_budget_validation():
         gen_random_connected(5, 11, seed=0)
     with pytest.raises(ValueError):
         gen_random_connected(0, 0, seed=0)
+
+
+def _random_connected_by_listing(order, edge_budget, seed):
+    """gen_random_connected's edges as it drew them when it listed every
+    spare pair before sampling."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, order)}
+    spare = [(u, v) for u, v in combinations(range(order), 2) if (u, v) not in edges]
+    edges.update(rng.sample(spare, edge_budget - (order - 1)))
+    return sorted(edges)
+
+
+def _budgets(order):
+    """Tree, one extra edge, a few extra (rng.sample reads the pairs it
+    picks by index), most pairs (it iterates them), complete less one,
+    complete."""
+    top = order * (order - 1) // 2
+    picks = {order - 1, order, order + 4, (order - 1 + top) // 2, top - 1, top}
+    return sorted(b for b in picks if order - 1 <= b <= top)
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 20, 48, 130])
+def test_random_connected_draws_what_listing_drew(order):
+    for budget in _budgets(order):
+        for seed in range(4):
+            g = gen_random_connected(order, budget, seed=seed)
+            assert sorted(g.edges()) == _random_connected_by_listing(order, budget, seed), (budget, seed)
+
+
+@pytest.mark.parametrize("budget", [2999, 3100])
+def test_random_connected_lists_no_spare_pairs(budget):
+    """A tree or a sparse budget at order 3000 stays small: listing the
+    4.5 million spare pairs took about 290 MiB."""
+    tracemalloc.start()
+    try:
+        g = gen_random_connected(3000, budget, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == budget
+    assert peak < 8 * 1024 * 1024
+
+
+def test_random_connected_tree_builds_no_view(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tree budget built the view of spare pairs")
+
+    monkeypatch.setattr(generators, "_SparePairs", refuse)
+    assert gen_random_connected(50, 49, seed=0).edge_count == 49

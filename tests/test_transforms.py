@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closegraph import transforms
 from closegraph.dyadic import Dyadic
 from closegraph.generators import FamilySpec, gen_random_connected, generate
 from closegraph.graph import bfs_distances, graph_closeness
@@ -19,6 +20,7 @@ from closegraph.transforms import (
     line_graph,
     shadow,
 )
+from closegraph.verify import parse_window
 
 from conftest import build, to_networkx
 from strategies import any_graph, complete_minus_edge, cycle, shuffled, tree
@@ -124,6 +126,28 @@ def test_line_edge_count_identity():
         l, _ = line_graph(g)
         expected = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in range(g.order))
         assert l.edge_count == expected
+
+
+def test_line_graph_size_limit(monkeypatch):
+    """line_graph builds up to MAX_LINE_EDGES edges and raises above it.
+    L(S_5) is K_4, with 6 edges."""
+    star = generate(FamilySpec("star", 5))
+    monkeypatch.setattr(transforms, "MAX_LINE_EDGES", 6)
+    assert line_graph(star)[0].edge_count == 6
+    monkeypatch.setattr(transforms, "MAX_LINE_EDGES", 5)
+    with pytest.raises(ValueError, match="^line graph would have 6 edges, more than the limit of 5$"):
+        line_graph(star)
+
+
+def test_line_graph_limit_admits_the_largest_sweep_case():
+    """`verify --window bridged=128` (the window cap) checks L(K_128 plus a
+    pendant edge), with 1,024,255 edges, under the limit. Its size is
+    counted here, not built: the build takes about 150 MiB."""
+    window = parse_window("bridged=128")
+    k = generate(FamilySpec("complete", window.bridged_max))
+    g, _ = bridge_join(k, 0, build(1, []), 0)
+    size = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in range(g.order))
+    assert size == 1_024_255 <= transforms.MAX_LINE_EDGES
 
 
 # --- joins ----------------------------------------------------------------
