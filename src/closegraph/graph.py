@@ -33,13 +33,14 @@ UNREACHABLE = -1
 # in pure Python is far out of reach long before this size.
 MAX_ORDER = 100_000
 
-# Sources per block of the multi-source BFS kernel, _closeness_sums: a
-# block is max(_BLOCK, _BLOCK_BITS // n) sources wide. Every edge scan is
-# shared by all of a block's sources (Then et al., PVLDB 2014), so wider
-# blocks mean fewer scans; each vertex-indexed list of block bitsets then
-# holds about n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB. Graphs up to
-# n = 5792 run as one block; from n = 32768 on, blocks are _BLOCK wide and
-# a list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
+# Bits per block of the bitset BFS traversals, _closeness_sums (a bit per
+# source) and _deletion_sums (a bit per lane): a block is _width(n) =
+# max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge scan is shared by all
+# of a block's bits (Then et al., PVLDB 2014), so wider blocks mean fewer
+# scans; each vertex-indexed list of block bitsets then holds about
+# n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB. Graphs up to n = 5792
+# run all their sources as one block; from n = 32768 on, blocks are _BLOCK
+# wide and a list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
 _BLOCK = 1024
 _BLOCK_BITS = 1 << 25
 
@@ -176,26 +177,31 @@ def vertex_closeness(g: Graph, i: int) -> Dyadic:
     return _closeness_from_distances(bfs_distances(g, i))
 
 
+def _width(n: int) -> int:
+    """Bits per block of a bitset BFS over n vertices (module comment at
+    _BLOCK); reads _BLOCK and _BLOCK_BITS at call time."""
+    return max(_BLOCK, _BLOCK_BITS // (n or 1))
+
+
 def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]]:
     """Per vertex v, the sum over s in sources of 2**-d(s, v), by
     multi-source BFS on the adjacency lists adj. sources is a sequence
     (a range or a list) of distinct vertices.
 
     Returns (num, depth): v's sum is num[v] / 2**depth[v]. Sources run in
-    blocks of max(_BLOCK, _BLOCK_BITS // n) (both read at call time); bit
-    i of a vertex's ints stands for the block's i-th source. Each level
-    ORs every frontier vertex's new bits into its neighbours. The bits
-    new at v on level k are the block's sources at distance exactly k
-    from v, so their count is the number of those sources at distance k.
-    Within a block, v's numerator is kept by lazy Horner over 2**(last
-    level that reached v); blocks are combined by shifting to the deeper
-    of the two.
+    blocks of _width(n); bit i of a vertex's ints stands for the block's
+    i-th source. Each level ORs every frontier vertex's new bits into its
+    neighbours. The bits new at v on level k are the block's sources at
+    distance exactly k from v, so their count is the number of those
+    sources at distance k. Within a block, v's numerator is kept by lazy
+    Horner over 2**(last level that reached v); blocks are combined by
+    shifting to the deeper of the two.
     """
     n = len(adj)
     num = [0] * n
     depth = [0] * n
     reach = [0] * n
-    width = max(_BLOCK, _BLOCK_BITS // (n or 1))
+    width = _width(n)
     for lo in range(0, len(sources), width):
         block = sources[lo : lo + width]
         full = (1 << len(block)) - 1
@@ -234,6 +240,103 @@ def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]
             else:
                 num[v] += block_num[v] << -shift
     return num, depth
+
+
+def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
+    """Closeness sums from chosen sources after one deletion, for many
+    deletions at once, by one bitset BFS on the adjacency lists adj.
+
+    edits is a list of (cut, sources): cut is a vertex x or an edge
+    (u, v) of adj, sources a list of distinct vertices other than x.
+    Returns (totals, insides), per edit an integer over 2**top with
+    top = max(n - 1, 0): the total is the sum over s in sources and
+    every t != s of 2**-d(s, t) in adj without the cut; for a vertex
+    cut, the inside is the part of it with t in sources too (for an
+    edge cut it is not needed, and reads 0).
+
+    Each bit is a lane, one (edit, source) pair; an edit's lanes are
+    contiguous, in the order of edits, and run in blocks of _width(n)
+    lanes, so one edit's lanes may straddle two blocks. An edit without
+    sources has no lane; with no lane at all nothing is built. An edge
+    cut masks its lanes off both directions of (u, v); a vertex cut's
+    lanes start as seen at x, so x never forwards them. The rest is the
+    level loop of _closeness_sums. Lane sums are kept bit-sliced: plane
+    p holds bit p of every lane's sum, and the lanes new at a vertex on
+    level k add 2**(top - k) from plane top - k on, with carry. An
+    edit's sum is then the popcounts of its lanes in each plane,
+    weighted by 2**p.
+    """
+    n = len(adj)
+    top = max(n - 1, 0)
+    height = top + n.bit_length() + 1  # a lane's sum is below n * 2**top
+    lanes = [(e, s) for e, (_, sources) in enumerate(edits) for s in sources]
+    sums = ([0] * len(edits), [0] * len(edits))
+    if not lanes:
+        return sums
+    width = _width(n)
+    for lo in range(0, len(lanes), width):
+        block = lanes[lo : lo + width]
+        full = (1 << len(block)) - 1
+        unseen = [full] * n
+        start = [0] * n
+        owned: dict[int, int] = {}  # edit -> its lanes in this block
+        for i, (e, s) in enumerate(block):
+            bit = 1 << i
+            unseen[s] ^= bit
+            start[s] |= bit
+            owned[e] = owned.get(e, 0) | bit
+        # gates[u][j]: the lanes that may cross from u to adj[u][j];
+        # inner[t]: the lanes of the vertex cuts whose sources hold t
+        gates = [[full] * len(nbrs) for nbrs in adj]
+        inner = [0] * n
+        for e, mine in owned.items():
+            cut, sources = edits[e]
+            if isinstance(cut, tuple):
+                u, v = cut
+                gates[u][adj[u].index(v)] ^= mine
+                gates[v][adj[v].index(u)] ^= mine
+            else:
+                unseen[cut] &= ~mine
+                for t in sources:
+                    inner[t] |= mine
+        planes = ([0] * height, [0] * height)  # totals, insides
+        total, inside = planes
+        reach = [0] * n
+        frontier = [(s, bits) for s, bits in enumerate(start) if bits]
+        k = 0
+        while frontier:
+            k += 1
+            touched = []
+            for u, bits in frontier:
+                for w, gate in zip(adj[u], gates[u]):
+                    x = reach[w]
+                    if not x:
+                        touched.append(w)
+                    reach[w] = x | (bits & gate)
+            frontier = []
+            for v in touched:
+                new = reach[v] & unseen[v]
+                reach[v] = 0
+                if new:
+                    unseen[v] ^= new
+                    frontier.append((v, new))
+                    p, c = top - k, new
+                    while c:
+                        q = total[p]
+                        total[p] = q ^ c
+                        c &= q
+                        p += 1
+                    p, c = top - k, new & inner[v]
+                    while c:
+                        q = inside[p]
+                        inside[p] = q ^ c
+                        c &= q
+                        p += 1
+        for acc, out in zip(planes, sums):
+            weighted = [(p, plane) for p, plane in enumerate(acc) if plane]
+            for e, mine in owned.items():
+                out[e] += sum((plane & mine).bit_count() << p for p, plane in weighted)
+    return sums
 
 
 def graph_closeness(g: Graph) -> ClosenessReport:

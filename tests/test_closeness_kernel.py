@@ -1,4 +1,6 @@
-"""The multi-source bitset BFS kernel against the per-source reference."""
+"""The bitset BFS traversals against their references: the multi-source
+kernel against the per-source BFS, and the lane-parallel deletion sums
+against the kernel run on each explicitly cut adjacency."""
 
 import itertools
 
@@ -13,7 +15,8 @@ from closegraph.graph import graph_closeness
 
 import closeness_reference
 from conftest import build
-from strategies import any_graph, complete, complete_minus_edge, cycle, shuffled, tree
+from strategies import (any_graph, complete, complete_minus_edge, cycle, even_cycle_with_chord,
+                        shuffled, spider, theta, tree)
 
 ANY_SMALL_GRAPH = shuffled(
     st.one_of(any_graph(), tree(), cycle(), complete(), complete_minus_edge())
@@ -110,3 +113,89 @@ def test_source_subset_sums_to_their_closenesses(block, data):
         num, depth = graph._closeness_sums(g.adj, sources)
     got = sum((Dyadic(c, d) for c, d in zip(num, depth)), Dyadic(0))
     assert got == want, (g.order, list(g.edges()), sources)
+
+
+# -- the deletion sums: one lane per (edit, source), against the kernel on
+# each cut adjacency -----------------------------------------------------------
+
+def _cut_adjacency(adj, cut):
+    cut_adj = [list(nbrs) for nbrs in adj]
+    if isinstance(cut, tuple):
+        u, v = cut
+        cut_adj[u].remove(v)
+        cut_adj[v].remove(u)
+    else:
+        for w in cut_adj[cut]:
+            cut_adj[w].remove(cut)
+        cut_adj[cut] = []
+    return cut_adj
+
+
+def _reference_deletion_sums(adj, edits):
+    top = max(len(adj) - 1, 0)
+    totals, insides = [], []
+    for cut, sources in edits:
+        num, depth = graph._closeness_sums(_cut_adjacency(adj, cut), sources)
+        new = [c << (top - d) for c, d in zip(num, depth)]
+        totals.append(sum(new))
+        insides.append(0 if isinstance(cut, tuple) else sum(new[t] for t in sources))
+    return totals, insides
+
+
+@st.composite
+def graph_with_deletions(draw):
+    """A graph (often disconnected) and up to six deletions of one vertex
+    or one edge, each with any set of sources other than the vertex."""
+    g = draw(shuffled(st.one_of(any_graph(), tree(), cycle(), complete_minus_edge(),
+                                spider(), theta(), even_cycle_with_chord())))
+    edges = list(g.edges())
+    edits = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if edges and draw(st.booleans()):
+            cut = draw(st.sampled_from(edges))
+            allowed = list(range(g.order))
+        elif g.order:
+            cut = draw(st.integers(min_value=0, max_value=g.order - 1))
+            allowed = [v for v in range(g.order) if v != cut]
+        else:
+            break
+        sources = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+        edits.append((cut, sources))
+    return g, edits
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@settings(max_examples=80, deadline=None)
+@given(case=graph_with_deletions())
+def test_deletion_sums_match_the_kernel_on_each_cut_adjacency(block, case):
+    """At the default width, and with every edit's lanes cut across
+    blocks of one and of three lanes."""
+    g, edits = case
+    want = _reference_deletion_sums(g.adj, edits)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph, "_BLOCK", block)
+            mp.setattr(graph, "_BLOCK_BITS", 0)
+        got = graph._deletion_sums(g.adj, edits)
+    assert got == want, (g.order, list(g.edges()), edits)
+
+
+def test_deletion_sums_on_a_long_path_across_blocks():
+    """Lane sums that carry through many planes: every vertex of a
+    130-vertex path deleted in turn, with all other vertices as sources,
+    in blocks of 64 lanes."""
+    g = generate(FamilySpec("path", 130))
+    edits = [(x, [v for v in range(g.order) if v != x]) for x in range(0, g.order, 7)]
+    edits += [((u, u + 1), list(range(u + 1))) for u in range(0, g.order - 1, 9)]
+    want = _reference_deletion_sums(g.adj, edits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK", 64)
+        mp.setattr(graph, "_BLOCK_BITS", 0)
+        assert graph._deletion_sums(g.adj, edits) == want
+
+
+def test_deletion_sums_without_sources_build_nothing(monkeypatch):
+    """Edits with no sources add no lane, so no block is set up."""
+    monkeypatch.setattr(graph, "_width", lambda n: pytest.fail("a block was set up"))
+    g = generate(FamilySpec("complete", 5))
+    assert graph._deletion_sums(g.adj, [(0, []), ((1, 2), [])]) == ([0, 0], [0, 0])
