@@ -171,6 +171,8 @@ def _cmd_vuln(args) -> int:
         ]
         print(f"witnesses: {' '.join(parts)}")
         print(f"evaluated: {report.evaluated} of {report.candidates} candidates")
+        if report.bounded:
+            print(f"bounded: {report.bounded} of {report.candidates} candidates")
     return 0
 
 

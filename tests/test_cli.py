@@ -177,10 +177,14 @@ def test_vuln_text_and_json(tmp_path, capsys):
     assert "value:     5/2^1  (= 2.5)" in out
     assert "witnesses: (0,1) (0,2) (1,2)" in out
     assert "evaluated: 3 of 3 candidates" in out
+    assert "bounded:" not in out  # deletions have no bound
     code, out, _ = run(capsys, "vuln", "vertex", "-i", str(src), "--format", "json")
     payload = json.loads(out)
     assert payload["measure"] == "vertex_residual"
     assert payload["value"] == "1/2^0"
+    code, out, _ = run(capsys, "vuln", "additional", "-i", str(DATA / "path60_chords6_seed0.edges"))
+    assert code == 0
+    assert "evaluated: 100 of 1705 candidates\nbounded: 313 of 1705 candidates\n" in out
 
 
 def test_oversized_header_exit_2(tmp_path, capsys):
