@@ -65,7 +65,7 @@ class Graph:
     is not supported (the transforms build fresh graphs).
     """
 
-    __slots__ = ("order", "adj", "labels")
+    __slots__ = ("order", "adj", "labels", "__weakref__")
 
     def __init__(self, order: int, adj: list[list[int]], labels: list[str]):
         self.order = order
@@ -242,17 +242,52 @@ def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]
     return num, depth
 
 
+def _balls(adj: list[list[int]]) -> list[list[int]]:
+    """Per vertex v, its balls on the adjacency lists adj: the k-th is the
+    bitset of the vertices within distance k of v, for k from 0 to the
+    eccentricity of v in its component.
+
+    One bitset BFS from every vertex at once, one bit per source, as in
+    _closeness_sums but always in one block: the bits new at v on level k
+    are the sources at distance exactly k from v, which by symmetry are
+    the vertices at distance k from v, so v's ball grows by them. That
+    holds n balls of n bits per vertex at most, about n**3 / 8 bytes.
+    """
+    n = len(adj)
+    balls = [[1 << v] for v in range(n)]
+    reach = [0] * n
+    frontier = [(v, 1 << v) for v in range(n)]
+    while frontier:
+        touched = []
+        for u, bits in frontier:
+            for w in adj[u]:
+                x = reach[w]
+                if not x:
+                    touched.append(w)
+                reach[w] = x | bits
+        frontier = []
+        for v in touched:
+            mine = balls[v]
+            ball = mine[-1]
+            grown = ball | reach[v]
+            reach[v] = 0
+            if grown != ball:
+                mine.append(grown)
+                frontier.append((v, grown ^ ball))
+    return balls
+
+
 def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
     """Closeness sums from chosen sources after one deletion, for many
     deletions at once, by one bitset BFS on the adjacency lists adj.
 
-    edits is a list of (cut, sources): cut is a vertex x or an edge
-    (u, v) of adj, sources a list of distinct vertices other than x.
-    Returns (totals, insides), per edit an integer over 2**top with
-    top = max(n - 1, 0): the total is the sum over s in sources and
-    every t != s of 2**-d(s, t) in adj without the cut; for a vertex
-    cut, the inside is the part of it with t in sources too (for an
-    edge cut it is not needed, and reads 0).
+    edits is a list of (cut, sources, inside): cut is a vertex x or an
+    edge (u, v) of adj, sources a list of distinct vertices other than x,
+    and inside whether the edit needs its inside sum. Returns (totals,
+    insides), per edit an integer over 2**top with top = max(n - 1, 0):
+    the total is the sum over s in sources and every t != s of
+    2**-d(s, t) in adj without the cut; the inside is the part of it with
+    t in sources too, or 0 for an edit that does not need it.
 
     Each bit is a lane, one (edit, source) pair; an edit's lanes are
     contiguous, in the order of edits, and run in blocks of _width(n)
@@ -269,7 +304,7 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
     n = len(adj)
     top = max(n - 1, 0)
     height = top + n.bit_length() + 1  # a lane's sum is below n * 2**top
-    lanes = [(e, s) for e, (_, sources) in enumerate(edits) for s in sources]
+    lanes = [(e, s) for e, (_, sources, _) in enumerate(edits) for s in sources]
     sums = ([0] * len(edits), [0] * len(edits))
     if not lanes:
         return sums
@@ -286,17 +321,19 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
             start[s] |= bit
             owned[e] = owned.get(e, 0) | bit
         # gates[u][j]: the lanes that may cross from u to adj[u][j];
-        # inner[t]: the lanes of the vertex cuts whose sources hold t
+        # inner[t]: the lanes of the edits that need their inside sum and
+        # whose sources hold t
         gates = [[full] * len(nbrs) for nbrs in adj]
         inner = [0] * n
         for e, mine in owned.items():
-            cut, sources = edits[e]
+            cut, sources, inside = edits[e]
             if isinstance(cut, tuple):
                 u, v = cut
                 gates[u][adj[u].index(v)] ^= mine
                 gates[v][adj[v].index(u)] ^= mine
             else:
                 unseen[cut] &= ~mine
+            if inside:
                 for t in sources:
                     inner[t] |= mine
         planes = ([0] * height, [0] * height)  # totals, insides

@@ -134,18 +134,19 @@ def _cut_adjacency(adj, cut):
 def _reference_deletion_sums(adj, edits):
     top = max(len(adj) - 1, 0)
     totals, insides = [], []
-    for cut, sources in edits:
+    for cut, sources, inside in edits:
         num, depth = graph._closeness_sums(_cut_adjacency(adj, cut), sources)
         new = [c << (top - d) for c, d in zip(num, depth)]
         totals.append(sum(new))
-        insides.append(0 if isinstance(cut, tuple) else sum(new[t] for t in sources))
+        insides.append(sum(new[t] for t in sources) if inside else 0)
     return totals, insides
 
 
 @st.composite
 def graph_with_deletions(draw):
     """A graph (often disconnected) and up to six deletions of one vertex
-    or one edge, each with any set of sources other than the vertex."""
+    or one edge, each with any set of sources other than the vertex, and
+    each with or without its inside sum."""
     g = draw(shuffled(st.one_of(any_graph(), tree(), cycle(), complete_minus_edge(),
                                 spider(), theta(), even_cycle_with_chord())))
     edges = list(g.edges())
@@ -160,7 +161,7 @@ def graph_with_deletions(draw):
         else:
             break
         sources = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
-        edits.append((cut, sources))
+        edits.append((cut, sources, draw(st.booleans())))
     return g, edits
 
 
@@ -183,10 +184,11 @@ def test_deletion_sums_match_the_kernel_on_each_cut_adjacency(block, case):
 def test_deletion_sums_on_a_long_path_across_blocks():
     """Lane sums that carry through many planes: every vertex of a
     130-vertex path deleted in turn, with all other vertices as sources,
-    in blocks of 64 lanes."""
+    in blocks of 64 lanes; the inside sums of every other edit."""
     g = generate(FamilySpec("path", 130))
-    edits = [(x, [v for v in range(g.order) if v != x]) for x in range(0, g.order, 7)]
-    edits += [((u, u + 1), list(range(u + 1))) for u in range(0, g.order - 1, 9)]
+    edits = [(x, [v for v in range(g.order) if v != x], x % 2 == 0)
+             for x in range(0, g.order, 7)]
+    edits += [((u, u + 1), list(range(u + 1)), u % 2 == 0) for u in range(0, g.order - 1, 9)]
     want = _reference_deletion_sums(g.adj, edits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK", 64)
@@ -198,4 +200,4 @@ def test_deletion_sums_without_sources_build_nothing(monkeypatch):
     """Edits with no sources add no lane, so no block is set up."""
     monkeypatch.setattr(graph, "_width", lambda n: pytest.fail("a block was set up"))
     g = generate(FamilySpec("complete", 5))
-    assert graph._deletion_sums(g.adj, [(0, []), ((1, 2), [])]) == ([0, 0], [0, 0])
+    assert graph._deletion_sums(g.adj, [(0, [], True), ((1, 2), [], True)]) == ([0, 0], [0, 0])

@@ -8,12 +8,18 @@ plainly as possible, that the incremental engine in
 ``additional_by_sorted_bounds`` is the reference for the order of the
 engine's addition search rather than for its result: the per-source
 bound of every candidate, sorted.
+
+``edge_rest``, ``vertex_rest`` and ``bound_with_edge`` are per-edit
+rules written on distance rows from one BFS per source, which the engine
+reads off bitsets instead: the hit sources of a deletion that are rerun,
+and a per-source bound of an addition that the engine's tighter one must
+not exceed.
 """
 
 from __future__ import annotations
 
 from closegraph.dyadic import Dyadic
-from closegraph.graph import Graph, graph_closeness
+from closegraph.graph import Graph, bfs_distances, graph_closeness
 from closegraph.transforms import add_edge, delete_edge, delete_vertex
 from closegraph.vulnerability import VulnerabilityReport, _Balls, _optimum
 
@@ -91,3 +97,66 @@ def additional_by_sorted_bounds(g: Graph) -> VulnerabilityReport:
     report = _optimum("additional", b, dict(sorted(totals.items())), max, len(candidates))
     report.bounded = len(candidates)
     return report
+
+
+def distances(g: Graph) -> list[list[int]]:
+    """d(s, t) for every pair, with ``order + 1`` for an unreachable t, so
+    that exactly one unreachable endpoint always differs from the other
+    by at least 2."""
+    far = g.order + 1
+    return [[d if d >= 0 else far for d in bfs_distances(g, s)] for s in range(g.order)]
+
+
+def _only_parent(g: Graph, row: list[int], near: int, far: int) -> bool:
+    """Whether near is far's only neighbour one level nearer to the
+    source whose distances are row."""
+    return [w for w in g.adj[far] if row[w] < row[far]] == [near]
+
+
+def edge_rest(g: Graph, dist, u: int, v: int) -> list[int]:
+    """The hit sources of deleting the edge (u, v) that are rerun: those
+    for which one endpoint is the other's only parent, on the smaller of
+    the two sides (u's on a tie)."""
+    sides: tuple[list[int], list[int]] = ([], [])
+    for s, row in enumerate(dist):
+        a, b = row[u], row[v]
+        if a != b:
+            near, far = (u, v) if a < b else (v, u)
+            if _only_parent(g, row, near, far):
+                sides[a > b].append(s)
+    return min(sides, key=len)
+
+
+def vertex_rest(g: Graph, dist, x: int) -> tuple[list[int], list[list[int]]]:
+    """The hit sources of deleting the vertex x that are rerun, and the
+    entry groups of all hit sources, one per neighbour w of x: the hit
+    sources for which w is one level nearer than x. A source other than x
+    is hit when x is the only parent of some neighbour of x; the rest is
+    every hit source outside the largest group (the first on ties)."""
+    hit = [
+        s for s, row in enumerate(dist)
+        if s != x and row[x] <= g.order
+        and any(row[w] == row[x] + 1 and _only_parent(g, row, x, w) for w in g.adj[x])
+    ]
+    groups = [[s for s in hit if dist[s][w] < dist[s][x]] for w in g.adj[x]]
+    largest = max(groups, key=len, default=[])
+    return [s for s in hit if s not in largest], groups
+
+
+def bound_with_edge(g: Graph, dist, u: int, v: int) -> int:
+    """The per-source bound on the closeness numerator, over
+    ``2**(order - 1)``, after adding the edge (u, v): a source s at a from
+    near and past a + 1 from far gains at most ``reach_far >> (a + 1)``,
+    where ``reach_far`` is 1 plus the closeness of far over the same
+    power of two."""
+    top = max(g.order - 1, 0)
+    nums = [sum(1 << (top - d) for d in row if 0 < d <= top) for row in dist]
+    reach_u, reach_v = (1 << top) + nums[u], (1 << top) + nums[v]
+    bound = sum(nums)
+    for row in dist:
+        a, b = row[u], row[v]
+        if a + 1 < b:
+            bound += reach_v >> (a + 1)
+        elif b + 1 < a:
+            bound += reach_u >> (b + 1)
+    return bound
