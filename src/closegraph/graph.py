@@ -33,10 +33,10 @@ UNREACHABLE = -1
 # in pure Python is far out of reach long before this size.
 MAX_ORDER = 100_000
 
-# Bits per block of the bitset BFS traversals, _closeness_sums (a bit per
-# source) and _deletion_sums (a bit per lane): a block is _width(n) =
-# max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge scan is shared by all
-# of a block's bits (Then et al., PVLDB 2014), so wider blocks mean fewer
+# Bits per block of the bitset BFS traversals that run on _levels,
+# _closeness_sums (a bit per source) and _deletion_sums (a bit per lane): a
+# block is _width(n) = max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge
+# scan is shared by all of a block's bits, so wider blocks mean fewer
 # scans; each vertex-indexed list of block bitsets then holds about
 # n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB. Graphs up to n = 5792
 # run all their sources as one block; from n = 32768 on, blocks are _BLOCK
@@ -183,55 +183,74 @@ def _width(n: int) -> int:
     return max(_BLOCK, _BLOCK_BITS // (n or 1))
 
 
+def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None):
+    """The level loop of the bitset BFS traversals below (multi-source
+    bit-parallel BFS; Then et al., PVLDB 2014), one bit per BFS.
+
+    frontier holds (v, bits) for the bits that start at v and unseen[v]
+    the bits that have not reached v; the caller seeds both, and unseen
+    is updated in place. Each level ORs every frontier vertex's bits into
+    its neighbours and yields the next frontier: (v, new) per vertex v
+    that new bits first reach, so the k-th holds the bits at distance k
+    from v. gates, if given, maps edges (u, w) that adj leaves out to the
+    bits that may cross them from u to w.
+    """
+    reach = [0] * len(adj)
+    while frontier:
+        touched = []
+        for u, bits in frontier:
+            for w in adj[u]:
+                x = reach[w]
+                if not x:
+                    touched.append(w)
+                reach[w] = x | bits
+        if gates:
+            at = dict(frontier)
+            for (u, w), open_bits in gates.items():
+                bits = at.get(u, 0) & open_bits
+                if bits:
+                    x = reach[w]
+                    if not x:
+                        touched.append(w)
+                    reach[w] = x | bits
+        frontier = []
+        for v in touched:
+            new = reach[v] & unseen[v]
+            reach[v] = 0
+            if new:
+                unseen[v] ^= new
+                frontier.append((v, new))
+        yield frontier
+
+
 def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]]:
     """Per vertex v, the sum over s in sources of 2**-d(s, v), by
     multi-source BFS on the adjacency lists adj. sources is a sequence
     (a range or a list) of distinct vertices.
 
     Returns (num, depth): v's sum is num[v] / 2**depth[v]. Sources run in
-    blocks of _width(n); bit i of a vertex's ints stands for the block's
-    i-th source. Each level ORs every frontier vertex's new bits into its
-    neighbours. The bits new at v on level k are the block's sources at
-    distance exactly k from v, so their count is the number of those
-    sources at distance k. Within a block, v's numerator is kept by lazy
-    Horner over 2**(last level that reached v); blocks are combined by
-    shifting to the deeper of the two.
+    blocks of _width(n), one bit each, through _levels. The bits new at v
+    on level k are the block's sources at distance k from v, so their
+    count is the number of those sources. Within a block, v's numerator
+    is kept by lazy Horner over 2**(last level that reached v); blocks
+    are combined by shifting to the deeper of the two.
     """
     n = len(adj)
     num = [0] * n
     depth = [0] * n
-    reach = [0] * n
     width = _width(n)
     for lo in range(0, len(sources), width):
         block = sources[lo : lo + width]
-        full = (1 << len(block)) - 1
-        unseen = [full] * n
+        unseen = [(1 << len(block)) - 1] * n
+        frontier = [(s, 1 << i) for i, s in enumerate(block)]
+        for s, bit in frontier:
+            unseen[s] ^= bit
         block_num = [0] * n
         last = [0] * n
-        frontier = []
-        for i, s in enumerate(block):
-            bit = 1 << i
-            unseen[s] ^= bit
-            frontier.append((s, bit))
-        k = 0
-        while frontier:
-            k += 1
-            touched = []
-            for u, bits in frontier:
-                for w in adj[u]:
-                    x = reach[w]
-                    if not x:
-                        touched.append(w)
-                    reach[w] = x | bits
-            frontier = []
-            for v in touched:
-                new = reach[v] & unseen[v]
-                reach[v] = 0
-                if new:
-                    unseen[v] ^= new
-                    frontier.append((v, new))
-                    block_num[v] = (block_num[v] << (k - last[v])) + new.bit_count()
-                    last[v] = k
+        for k, level in enumerate(_levels(adj, frontier, unseen), 1):
+            for v, new in level:
+                block_num[v] = (block_num[v] << (k - last[v])) + new.bit_count()
+                last[v] = k
         for v in range(n):
             shift = last[v] - depth[v]
             if shift > 0:
@@ -247,33 +266,19 @@ def _balls(adj: list[list[int]]) -> list[list[int]]:
     bitset of the vertices within distance k of v, for k from 0 to the
     eccentricity of v in its component.
 
-    One bitset BFS from every vertex at once, one bit per source, as in
-    _closeness_sums but always in one block: the bits new at v on level k
-    are the sources at distance exactly k from v, which by symmetry are
-    the vertices at distance k from v, so v's ball grows by them. That
-    holds n balls of n bits per vertex at most, about n**3 / 8 bytes.
+    One run of _levels from every vertex at once, one bit per source,
+    always in one block: the bits new at v on level k are the sources at
+    distance k from v, which by symmetry are the vertices at distance k
+    from v, so v's ball grows by them. That holds n balls of n bits per
+    vertex at most, about n**3 / 8 bytes.
     """
     n = len(adj)
+    full = (1 << n) - 1
     balls = [[1 << v] for v in range(n)]
-    reach = [0] * n
-    frontier = [(v, 1 << v) for v in range(n)]
-    while frontier:
-        touched = []
-        for u, bits in frontier:
-            for w in adj[u]:
-                x = reach[w]
-                if not x:
-                    touched.append(w)
-                reach[w] = x | bits
-        frontier = []
-        for v in touched:
-            mine = balls[v]
-            ball = mine[-1]
-            grown = ball | reach[v]
-            reach[v] = 0
-            if grown != ball:
-                mine.append(grown)
-                frontier.append((v, grown ^ ball))
+    unseen = [full ^ (1 << v) for v in range(n)]
+    for level in _levels(adj, [(v, 1 << v) for v in range(n)], unseen):
+        for v, _ in level:
+            balls[v].append(full ^ unseen[v])
     return balls
 
 
@@ -290,16 +295,16 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
     t in sources too, or 0 for an edit that does not need it.
 
     Each bit is a lane, one (edit, source) pair; an edit's lanes are
-    contiguous, in the order of edits, and run in blocks of _width(n)
-    lanes, so one edit's lanes may straddle two blocks. An edit without
-    sources has no lane; with no lane at all nothing is built. An edge
-    cut masks its lanes off both directions of (u, v); a vertex cut's
-    lanes start as seen at x, so x never forwards them. The rest is the
-    level loop of _closeness_sums. Lane sums are kept bit-sliced: plane
-    p holds bit p of every lane's sum, and the lanes new at a vertex on
-    level k add 2**(top - k) from plane top - k on, with carry. An
-    edit's sum is then the popcounts of its lanes in each plane,
-    weighted by 2**p.
+    contiguous, in the order of edits, and run through _levels in blocks
+    of _width(n) lanes, so one edit's lanes may straddle two blocks. An
+    edit without sources has no lane; with no lane at all nothing is
+    built. The edges cut in a block leave the scanned adjacency and
+    cross by gates, each direction of (u, v) closed to its edits' lanes;
+    a vertex cut's lanes start as seen at x, so x never forwards them.
+    Lane sums are kept bit-sliced: plane p holds bit p of every lane's
+    sum, and the lanes new at a vertex on level k add 2**(top - k) from
+    plane top - k on, with carry. An edit's sum is then the popcounts of
+    its lanes in each plane, weighted by 2**p.
     """
     n = len(adj)
     top = max(n - 1, 0)
@@ -320,55 +325,41 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
             unseen[s] ^= bit
             start[s] |= bit
             owned[e] = owned.get(e, 0) | bit
-        # gates[u][j]: the lanes that may cross from u to adj[u][j];
+        # gates[u, v]: the lanes that may cross a cut edge from u to v;
         # inner[t]: the lanes of the edits that need their inside sum and
         # whose sources hold t
-        gates = [[full] * len(nbrs) for nbrs in adj]
+        gates: dict[tuple[int, int], int] = {}
         inner = [0] * n
         for e, mine in owned.items():
             cut, sources, inside = edits[e]
             if isinstance(cut, tuple):
-                u, v = cut
-                gates[u][adj[u].index(v)] ^= mine
-                gates[v][adj[v].index(u)] ^= mine
+                for u, v in (cut, cut[::-1]):
+                    gates[u, v] = gates.get((u, v), full) ^ mine
             else:
                 unseen[cut] &= ~mine
             if inside:
                 for t in sources:
                     inner[t] |= mine
+        scan = list(adj)  # adj without the cut edges, which cross by gates
+        for u in {u for u, _ in gates}:
+            scan[u] = [w for w in adj[u] if (u, w) not in gates]
         planes = ([0] * height, [0] * height)  # totals, insides
         total, inside = planes
-        reach = [0] * n
         frontier = [(s, bits) for s, bits in enumerate(start) if bits]
-        k = 0
-        while frontier:
-            k += 1
-            touched = []
-            for u, bits in frontier:
-                for w, gate in zip(adj[u], gates[u]):
-                    x = reach[w]
-                    if not x:
-                        touched.append(w)
-                    reach[w] = x | (bits & gate)
-            frontier = []
-            for v in touched:
-                new = reach[v] & unseen[v]
-                reach[v] = 0
-                if new:
-                    unseen[v] ^= new
-                    frontier.append((v, new))
-                    p, c = top - k, new
-                    while c:
-                        q = total[p]
-                        total[p] = q ^ c
-                        c &= q
-                        p += 1
-                    p, c = top - k, new & inner[v]
-                    while c:
-                        q = inside[p]
-                        inside[p] = q ^ c
-                        c &= q
-                        p += 1
+        for k, level in enumerate(_levels(scan, frontier, unseen, gates), 1):
+            for v, new in level:
+                p, c = top - k, new
+                while c:
+                    q = total[p]
+                    total[p] = q ^ c
+                    c &= q
+                    p += 1
+                p, c = top - k, new & inner[v]
+                while c:
+                    q = inside[p]
+                    inside[p] = q ^ c
+                    c &= q
+                    p += 1
         for acc, out in zip(planes, sums):
             weighted = [(p, plane) for p, plane in enumerate(acc) if plane]
             for e, mine in owned.items():

@@ -9,6 +9,7 @@ bridge edge.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import mul
 
@@ -86,15 +87,11 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
     index = {e: k for k, e in enumerate(edge_list)}
     ledges = []
     for v in range(g.order):
-        incident = [
-            index[(min(v, w), max(v, w))] for w in g.adj[v]
-        ]
+        incident = [index[(min(v, w), max(v, w))] for w in g.adj[v]]
         # every pair of edges meeting at v becomes a line-graph edge;
         # in a simple graph two edges share at most one vertex, so no
         # pair is generated twice
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                ledges.append((incident[a], incident[b]))
+        ledges.extend(itertools.combinations(incident, 2))
     labels = [f"({g.labels[u]},{g.labels[v]})" for u, v in edge_list]
     origins = [Origin("edge", e) for e in edge_list]
     return Graph.from_edges(len(edge_list), ledges, labels), origins

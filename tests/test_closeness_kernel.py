@@ -1,6 +1,7 @@
 """The bitset BFS traversals against their references: the multi-source
-kernel against the per-source BFS, and the lane-parallel deletion sums
-against the kernel run on each explicitly cut adjacency."""
+kernel against the per-source BFS, the balls against balls read off
+per-source BFS distances, and the lane-parallel deletion sums against
+the kernel run on each explicitly cut adjacency."""
 
 import itertools
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from closegraph import graph
 from closegraph.dyadic import Dyadic
 from closegraph.generators import FamilySpec, gen_random_connected, generate
-from closegraph.graph import graph_closeness
+from closegraph.graph import bfs_distances, graph_closeness
 
 import closeness_reference
 from conftest import build
@@ -51,10 +52,13 @@ def test_matches_reference_across_block_boundaries(block, g):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_matches_reference_on_every_tiny_graph(order):
+    """The kernel and the balls, on every graph of orders 0 to 3."""
     pairs = list(itertools.combinations(range(order), 2))
     for k in range(len(pairs) + 1):
         for edges in itertools.combinations(pairs, k):
-            assert_matches_reference(build(order, list(edges)))
+            g = build(order, list(edges))
+            assert_matches_reference(g)
+            assert graph._balls(g.adj) == _reference_balls(g), (order, edges)
 
 
 def _union(*parts):
@@ -113,6 +117,27 @@ def test_source_subset_sums_to_their_closenesses(block, data):
         num, depth = graph._closeness_sums(g.adj, sources)
     got = sum((Dyadic(c, d) for c, d in zip(num, depth)), Dyadic(0))
     assert got == want, (g.order, list(g.edges()), sources)
+
+
+# -- the balls: per vertex, the vertices within each distance ------------------
+
+def _reference_balls(g):
+    """Ball k of v, as a bitset, holds the vertices at distance 0..k from
+    v, for k from 0 to v's eccentricity in its component."""
+    balls = []
+    for v in range(g.order):
+        dist = bfs_distances(g, v)
+        balls.append([sum(1 << t for t, d in enumerate(dist) if 0 <= d <= k)
+                      for k in range(max(dist) + 1)])
+    return balls
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ANY_SMALL_GRAPH, st.lists(ANY_SMALL_GRAPH, max_size=3).map(lambda gs: _union(*gs))))
+def test_balls_match_the_bfs_distances(g):
+    """On shuffled small graphs and on disjoint unions of them with three
+    isolated vertices."""
+    assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
 
 
 # -- the deletion sums: one lane per (edit, source), against the kernel on
