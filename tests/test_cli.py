@@ -100,6 +100,16 @@ def test_closeness_json_escapes_labels_as_json_dumps():
     assert text == json.dumps(_closeness_payload(g, True), indent=2)
 
 
+@pytest.mark.parametrize("stem", ["path60_chords6_seed0", "rand60_m240_seed0"])
+def test_closeness_json_pinned(capsys, stem):
+    """`closeness --per-vertex --format json` on a long-diameter and a
+    short-diameter graph prints exactly the text committed beside each."""
+    code, out, _ = run(capsys, "closeness", "-i", str(DATA / f"{stem}.edges"),
+                       "--per-vertex", "--format", "json")
+    assert code == 0
+    assert out == (DATA / f"{stem}.closeness.json").read_text()
+
+
 def test_closeness_csv(tmp_path, capsys):
     path = tmp_path / "p2.edges"
     run(capsys, "gen", "path:2", "-o", str(path))
