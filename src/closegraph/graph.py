@@ -8,6 +8,8 @@ are exact :class:`~closegraph.dyadic.Dyadic` numbers, never floats.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -183,43 +185,97 @@ def _width(n: int) -> int:
     return max(_BLOCK, _BLOCK_BITS // (n or 1))
 
 
+def _pulls(push: int, pull: int) -> bool:
+    """Whether a level of _levels pulls rather than pushes, given the
+    adjacency entries each would scan: pull on ties."""
+    return pull <= push
+
+
 def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None):
     """The level loop of the bitset BFS traversals below (multi-source
     bit-parallel BFS; Then et al., PVLDB 2014), one bit per BFS.
 
-    frontier holds (v, bits) for the bits that start at v and unseen[v]
-    the bits that have not reached v; the caller seeds both, and unseen
-    is updated in place. Each level ORs every frontier vertex's bits into
-    its neighbours and yields the next frontier: (v, new) per vertex v
-    that new bits first reach, so the k-th holds the bits at distance k
-    from v. gates, if given, maps edges (u, w) that adj leaves out to the
-    bits that may cross them from u to w.
+    adj is symmetric. frontier holds (v, bits) for the bits that start at
+    v and unseen[v] the bits that have not reached v; the caller seeds
+    both, and unseen is updated in place. Each level ORs the frontier's
+    bits into their neighbours and yields the next frontier: (v, new) per
+    vertex v that new bits first reach, so the k-th holds the bits at
+    distance k from v. gates, if given, maps edges (u, w) that adj leaves
+    out to the bits that may cross them from u to w.
+
+    A level goes in one of two directions (direction-optimizing BFS;
+    Beamer, Asanovic & Patterson, SC 2012), whichever scans fewer entries
+    of adj, by _pulls: push ORs each frontier vertex's bits into its
+    neighbours, scanning the frontier's degrees; pull ORs, for each vertex
+    with unseen bits, its neighbours' frontier bits into one local,
+    scanning those vertices' degrees. Both counts are kept exact, from the
+    frontier and as vertices see all their bits. Gates cross by push in
+    both directions.
+
+    at[v] holds the bits last new at v, which pull and the gates read as
+    v's frontier bits. It is never cleared: bits new at v on an earlier
+    level crossed every edge out of v on the level after, so a stale
+    entry adds nothing new. So the work outside the scans is proportional
+    to the frontier, or to the vertices pulled.
     """
-    reach = [0] * len(adj)
+    degree = list(map(len, adj))
+    # the vertices that may still pull new bits; gate ends pull through
+    # their gates even without adjacency
+    ends = {w for _, w in gates} if gates else ()
+    pending = [v for v, x in enumerate(unseen) if x and (degree[v] or v in ends)]
+    pull = sum([degree[v] for v in pending])
+    finished = False  # whether a pending vertex has seen all its bits since pending was built
+    push = sum([degree[u] for u, _ in frontier])
+    at = [0] * len(adj)
+    for u, bits in frontier:
+        at[u] = bits
+    reach = [0] * len(adj)  # bits reaching each vertex on a level, by push or gate
     while frontier:
         touched = []
-        for u, bits in frontier:
-            for w in adj[u]:
-                x = reach[w]
-                if not x:
-                    touched.append(w)
-                reach[w] = x | bits
         if gates:
-            at = dict(frontier)
             for (u, w), open_bits in gates.items():
-                bits = at.get(u, 0) & open_bits
+                bits = at[u] & open_bits
                 if bits:
                     x = reach[w]
                     if not x:
                         touched.append(w)
                     reach[w] = x | bits
-        frontier = []
-        for v in touched:
-            new = reach[v] & unseen[v]
-            reach[v] = 0
-            if new:
-                unseen[v] ^= new
-                frontier.append((v, new))
+        nxt = []
+        if _pulls(push, pull):
+            if finished:
+                pending = [v for v in pending if unseen[v]]
+                finished = False
+            for v in pending:
+                acc = reach[v]
+                for w in adj[v]:
+                    acc |= at[w]
+                new = acc & unseen[v]
+                if new:
+                    unseen[v] ^= new
+                    nxt.append((v, new))
+            for v in touched:
+                reach[v] = 0
+        else:
+            for u, bits in frontier:
+                for w in adj[u]:
+                    x = reach[w]
+                    if not x:
+                        touched.append(w)
+                    reach[w] = x | bits
+            for v in touched:
+                new = reach[v] & unseen[v]
+                reach[v] = 0
+                if new:
+                    unseen[v] ^= new
+                    nxt.append((v, new))
+        push = 0
+        for v, new in nxt:
+            at[v] = new
+            push += degree[v]
+            if not unseen[v]:
+                pull -= degree[v]
+                finished = True
+        frontier = nxt
         yield frontier
 
 
@@ -308,7 +364,8 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
     """
     n = len(adj)
     top = max(n - 1, 0)
-    height = top + n.bit_length() + 1  # a lane's sum is below n * 2**top
+    low = n.bit_length()  # a lane is new at fewer than 2**low vertices per level
+    height = top + low + 1  # a lane's sum is below n * 2**top
     lanes = [(e, s) for e, (_, sources, _) in enumerate(edits) for s in sources]
     sums = ([0] * len(edits), [0] * len(edits))
     if not lanes:
@@ -344,20 +401,36 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
         for u in {u for u, _ in gates}:
             scan[u] = [w for w in adj[u] if (u, w) not in gates]
         planes = ([0] * height, [0] * height)  # totals, insides
-        total, inside = planes
         frontier = [(s, bits) for s, bits in enumerate(start) if bits]
         for k, level in enumerate(_levels(scan, frontier, unseen, gates), 1):
+            counts = ([0] * low, [0] * low)  # this level's, totals and insides
+            count, count_inside = counts
             for v, new in level:
-                p, c = top - k, new
+                p, c = 0, new
                 while c:
-                    q = total[p]
-                    total[p] = q ^ c
+                    q = count[p]
+                    count[p] = q ^ c
                     c &= q
                     p += 1
-                p, c = top - k, new & inner[v]
+                p, c = 0, new & inner[v]
                 while c:
-                    q = inside[p]
-                    inside[p] = q ^ c
+                    q = count_inside[p]
+                    count_inside[p] = q ^ c
+                    c &= q
+                    p += 1
+            for acc, count in zip(planes, counts):
+                if not any(count):
+                    continue
+                p, c = top - k, 0
+                for x in count:  # ripple-carry add from plane top - k on
+                    q = acc[p]
+                    s = q ^ x
+                    acc[p] = s ^ c
+                    c = (q & x) | (s & c)
+                    p += 1
+                while c:
+                    q = acc[p]
+                    acc[p] = q ^ c
                     c &= q
                     p += 1
         for acc, out in zip(planes, sums):
@@ -387,7 +460,63 @@ def parse_edgelist(text: str) -> Graph:
     are comments. Numbers are ASCII digits with an optional leading '-'.
     Errors (self-loops, duplicates, bad indices, wrong edge count) carry
     the 1-based line number.
+
+    The text is read in bulk, each check run once over whole lists; only
+    when one fails does _scan_edgelist read it line by line, to name the
+    first bad line.
     """
+    g = _read_edgelist(text)
+    return _scan_edgelist(text) if g is None else g
+
+
+def _read_edgelist(text: str) -> Graph | None:
+    """The graph of a well-formed edge list, or None if a check fails."""
+    rows = list(filter(None, map(str.split, text.split("\n"))))
+    if "#" in text:
+        rows = [row for row in rows if row[0][0] != "#"]
+    if set(map(len, rows)) != {2}:
+        return None
+    x, y = rows[0]
+    if not (_INTEGER.fullmatch(x) and _INTEGER.fullmatch(y)):
+        return None
+    n, m = int(x), int(y)
+    if not (0 <= n <= MAX_ORDER and m == len(rows) - 1):
+        return None
+    fields = list(itertools.chain.from_iterable(itertools.islice(rows, 1, None)))
+    labels = list(map(str, range(n)))
+    ends: list[int] = []
+    if n <= len(fields):  # an index of the n labels saves an int() per field
+        try:
+            ends = list(map(dict(zip(labels, range(n))).__getitem__, fields))
+        except KeyError:  # leading zeros, '-0' or a fault
+            pass
+    if fields and not ends:
+        digits = "".join(fields).replace("-", "")
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            ends = list(map(int, fields))  # each an _INTEGER unless a '-' is misplaced
+        except ValueError:
+            return None
+        if not (0 <= min(ends) and max(ends) < n):
+            return None
+    us, vs = ends[::2], ends[1::2]
+    if any(map(operator.eq, us, vs)):
+        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    if sum(map(len, map(set, adj))) != 2 * m:  # a duplicate edge
+        return None
+    for nbrs in adj:
+        nbrs.sort()
+    return Graph(n, adj, labels)
+
+
+def _scan_edgelist(text: str) -> Graph:
+    """parse_edgelist line by line: raises ValueError naming the first
+    bad line, in file order."""
     header_line = 0
     adj: list[set[int]] = []
     n = m = 0
@@ -395,16 +524,9 @@ def parse_edgelist(text: str) -> Graph:
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
             raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        x, y = parts
-        # str.isdigit alone would pass non-ASCII digits, and int() also
-        # takes "+3" and "1_0"; a leading '-' or non-ASCII blanks around
-        # the numbers take the slower exact check
-        if not (x.isdigit() and y.isdigit() and raw.isascii()):
-            if not (_INTEGER.fullmatch(x) and _INTEGER.fullmatch(y)):
-                raise ValueError(f"line {lineno}: expected two integers, got {raw!r}")
-        a, b = int(x), int(y)
+        a, b = map(int, parts)
         if not header_line:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: negative count in header")
@@ -433,7 +555,6 @@ def parse_edgelist(text: str) -> Graph:
         raise ValueError(
             f"line {header_line}: header declares {m} edges, file has {count}"
         )
-    # every edge was validated above, so build the graph without from_edges
     return Graph(n, [sorted(s) for s in adj], [str(i) for i in range(n)])
 
 
@@ -445,10 +566,12 @@ def format_edgelist(g: Graph) -> str:
 
 
 def to_dot(g: Graph, name: str = "G") -> str:
-    """Graphviz DOT rendering with provenance labels on the vertices."""
+    """Graphviz DOT rendering with provenance labels on the vertices, as
+    quoted strings with '\\' and '"' escaped by a backslash."""
     lines = [f"graph {name} {{"]
-    for i in range(g.order):
-        lines.append(f'  {i} [label="{g.labels[i]}"];')
+    for i, label in enumerate(g.labels):
+        quoted = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {i} [label="{quoted}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -226,3 +226,108 @@ def test_deletion_sums_without_sources_build_nothing(monkeypatch):
     monkeypatch.setattr(graph, "_width", lambda n: pytest.fail("a block was set up"))
     g = generate(FamilySpec("complete", 5))
     assert graph._deletion_sums(g.adj, [(0, [], True), ((1, 2), [], True)]) == ([0, 0], [0, 0])
+
+
+# -- the two directions of _levels: each traversal pushes and pulls ------------
+
+def _directions(monkeypatch):
+    """The directions _levels takes from here on, True for a pull, recorded
+    by wrapping its rule."""
+    taken = []
+    rule = graph._pulls
+    monkeypatch.setattr(graph, "_pulls", lambda push, pull: taken.append(rule(push, pull)) or taken[-1])
+    return taken
+
+
+def _reference_sums(g, sources):
+    """Per vertex v, the sum over s in sources of 2**-d(s, v)."""
+    sums = [Dyadic(0)] * g.order
+    for s in sources:
+        for v, d in enumerate(bfs_distances(g, s)):
+            if d > 0:
+                sums[v] = sums[v] + Dyadic(1, d)
+    return sums
+
+
+def _theta(*lengths):
+    """Paths of the given numbers of edges between vertices 0 and 1."""
+    order, edges = 2, []
+    for length in lengths:
+        path = [0, *range(order, order + length - 1), 1]
+        edges += list(zip(path, path[1:]))
+        order += length - 1
+    return build(order, edges)
+
+
+LONG_PATH = generate(FamilySpec("path", 40))
+DENSE = gen_random_connected(24, 200, seed=3)
+# a path beside a clique: the clique's vertices never see the path's bits,
+# so they keep the pull count high while the frontier runs along the path
+PATH_AND_CLIQUE = build(42, [(i, i + 1) for i in range(29)]
+                        + list(itertools.combinations(range(30, 42), 2)))
+
+
+def test_one_source_on_a_long_path_pushes(monkeypatch):
+    taken = _directions(monkeypatch)
+    num, depth = graph._closeness_sums(LONG_PATH.adj, [0])
+    # the last levels reach the far end, where one vertex or none pulls
+    assert taken[:-2] == [False] * (len(taken) - 2) and len(taken) == 40
+    assert [Dyadic(c, d) for c, d in zip(num, depth)] == _reference_sums(LONG_PATH, [0])
+
+
+def test_balls_of_a_path_beside_a_clique_push(monkeypatch):
+    taken = _directions(monkeypatch)
+    balls = graph._balls(PATH_AND_CLIQUE.adj)
+    assert taken[2:] == [False] * (len(taken) - 2) and len(taken) == 30
+    assert balls == _reference_balls(PATH_AND_CLIQUE)
+
+
+def test_deletion_lanes_of_one_source_on_a_long_path_push(monkeypatch):
+    edits = [(20, [0], True), ((5, 6), [0], False), (39, [0, 1], True)]
+    want = _reference_deletion_sums(LONG_PATH.adj, edits)
+    taken = _directions(monkeypatch)
+    got = graph._deletion_sums(LONG_PATH.adj, edits)
+    assert taken[:-2] == [False] * (len(taken) - 2) and len(taken) == 39
+    assert got == want
+
+
+def test_all_sources_on_a_dense_graph_pull(monkeypatch):
+    taken = _directions(monkeypatch)
+    got = graph_closeness(DENSE)
+    assert taken and all(taken)
+    assert _canonical(got) == _canonical(closeness_reference.graph_closeness(DENSE))
+
+
+def test_balls_of_a_dense_graph_pull(monkeypatch):
+    taken = _directions(monkeypatch)
+    balls = graph._balls(DENSE.adj)
+    assert taken and all(taken)
+    assert balls == _reference_balls(DENSE)
+
+
+def test_deletion_lanes_on_a_theta_pull(monkeypatch):
+    """Every vertex and every edge of a theta deleted in turn, with all
+    other vertices as sources: the cut edges' lanes cross by gates."""
+    g = _theta(2, 3, 4)
+    edits = [(x, [v for v in range(g.order) if v != x], x % 2 == 0) for x in range(g.order)]
+    edits += [(e, list(range(g.order)), i % 2 == 0) for i, e in enumerate(g.edges())]
+    want = _reference_deletion_sums(g.adj, edits)
+    taken = _directions(monkeypatch)
+    got = graph._deletion_sums(g.adj, edits)
+    assert taken and all(taken)
+    assert got == want
+
+
+@pytest.mark.parametrize("pull", [False, True], ids=["push", "pull"])
+@settings(max_examples=60, deadline=None)
+@given(case=graph_with_deletions())
+def test_each_direction_alone_matches_the_references(pull, case):
+    """Every level forced one way: the kernel, the balls and the deletion
+    sums (gates included) still match their references."""
+    g, edits = case
+    want = _reference_deletion_sums(g.adj, edits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_pulls", lambda push, pulled: pull)
+        assert_matches_reference(g)
+        assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
+        assert graph._deletion_sums(g.adj, edits) == want, (g.order, list(g.edges()), edits)

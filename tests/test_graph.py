@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closegraph import graph
 from closegraph.dyadic import Dyadic
 from closegraph.graph import (
     MAX_ORDER,
@@ -20,7 +21,7 @@ from closegraph.graph import (
     vertex_closeness,
 )
 from closegraph.generators import FamilySpec, gen_random_connected, generate
-from closegraph.transforms import add_edge, delete_edge
+from closegraph.transforms import add_edge, delete_edge, shadow
 
 from conftest import build, oracle_total_closeness, oracle_vertex_closeness
 from strategies import any_graph, complete, cycle, shuffled, tree
@@ -326,6 +327,27 @@ def test_dot_export_has_labels():
     assert "0 -- 1;" in dot
 
 
+# A DOT quoted string: '"', then characters other than '"' and '\\' or a
+# backslash and any character, then '"'.
+_DOT_LABEL = re.compile(r'  (\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+
+
+def test_dot_labels_are_quoted_strings_on_a_shadow_of_a_shadow():
+    """Shadow copies add ' and " to their labels; every label line of the
+    shadow of a shadow is one valid DOT quoted string that unescapes back
+    to the label, backslashes included."""
+    base = Graph.from_edges(3, [(0, 1), (1, 2)], ["a", "b\\", 'c"'])
+    g, _ = shadow(shadow(base)[0])
+    lines = [line for line in to_dot(g).splitlines() if "label=" in line]
+    assert len(lines) == g.order == 12
+    for i, line in enumerate(lines):
+        match = _DOT_LABEL.fullmatch(line)
+        assert match, line
+        assert int(match[1]) == i
+        assert re.sub(r"\\(.)", r"\1", match[2]) == g.labels[i], line
+    assert lines[9] == '  9 [label="a\\"\\""];'  # 'a' + '"' + '"', not label="a"""
+
+
 # Characters an edge list is made of, plus a few that never belong in one.
 _EDGELIST_CHARS = "0123456789 -+_#\n\r\t\x0bx."
 
@@ -357,6 +379,59 @@ def _mutated_edgelist(draw):
             noise = draw(st.text(alphabet=_EDGELIST_CHARS, max_size=4))
             lines[i] = lines[i][:j] + noise + lines[i][j + 2 :]
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _unusual_edgelist(draw):
+    """A valid edge list written unusually: edges in any order and either
+    orientation, numbers with leading zeros or as -0, blanks of several
+    kinds around and between them, CRLF line ends, and blank and comment
+    lines anywhere."""
+    order, edges = draw(st.one_of(any_graph(), tree(), cycle()))
+    edges = draw(st.permutations(edges))
+    blank = st.sampled_from([" ", "\t", "\x0b", "\f", "  ", " \t"])
+
+    def number(k):
+        zeros = draw(st.integers(min_value=0, max_value=2)) * "0"
+        return draw(st.sampled_from(["-0", "0"])) if k == 0 and draw(st.booleans()) else zeros + str(k)
+
+    rows = [(order, len(edges))]
+    rows += [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    lines = []
+    for a, b in rows:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            lines.append(draw(st.sampled_from(["", "\t", "# note", "  #x y z", "#"])))
+        lead = draw(blank) if draw(st.booleans()) else ""
+        trail = draw(blank) if draw(st.booleans()) else ""
+        lines.append(lead + number(a) + draw(blank) + number(b) + trail)
+    end = "\r\n" if draw(st.booleans()) else "\n"
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=30),
+        st.text(alphabet=_EDGELIST_CHARS, max_size=30),
+        _mutated_edgelist(),
+        _unusual_edgelist(),
+    )
+)
+def test_bulk_read_agrees_with_the_line_scan(text):
+    """The bulk read takes every text the line scan takes, to the same
+    graph, and rejects every other, which parse_edgelist then reports
+    with the line scan's message."""
+    try:
+        want = graph._scan_edgelist(text)
+    except ValueError as exc:
+        assert graph._read_edgelist(text) is None, text
+        with pytest.raises(ValueError) as got:
+            parse_edgelist(text)
+        assert str(got.value) == str(exc)
+        return
+    got = graph._read_edgelist(text)
+    assert got is not None, text
+    assert (got.order, got.adj, got.labels) == (want.order, want.adj, want.labels)
 
 
 @settings(max_examples=200, deadline=None)
