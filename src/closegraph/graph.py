@@ -358,9 +358,11 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
     cross by gates, each direction of (u, v) closed to its edits' lanes;
     a vertex cut's lanes start as seen at x, so x never forwards them.
     Lane sums are kept bit-sliced: plane p holds bit p of every lane's
-    sum, and the lanes new at a vertex on level k add 2**(top - k) from
-    plane top - k on, with carry. An edit's sum is then the popcounts of
-    its lanes in each plane, weighted by 2**p.
+    sum. Each level first counts, per lane, the vertices it is new at, in
+    a small bit-sliced counter of its own, so that carries stay short;
+    the count c of level k then adds c * 2**(top - k), from plane top - k
+    on. An edit's sum is then the popcounts of its lanes in each plane,
+    weighted by 2**p.
     """
     n = len(adj)
     top = max(n - 1, 0)
@@ -418,15 +420,15 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
                     count_inside[p] = q ^ c
                     c &= q
                     p += 1
-            for acc, count in zip(planes, counts):
-                if not any(count):
+            for acc, added in zip(planes, counts):
+                if not any(added):
                     continue
                 p, c = top - k, 0
-                for x in count:  # ripple-carry add from plane top - k on
+                for x in added:  # ripple-carry add from plane top - k on
                     q = acc[p]
-                    s = q ^ x
-                    acc[p] = s ^ c
-                    c = (q & x) | (s & c)
+                    half = q ^ x
+                    acc[p] = half ^ c
+                    c = (q & x) | (half & c)
                     p += 1
                 while c:
                     q = acc[p]
