@@ -291,18 +291,22 @@ def test_deletion_lanes_of_one_source_on_a_long_path_push(monkeypatch):
     assert got == want
 
 
-def test_all_sources_on_a_dense_graph_pull(monkeypatch):
+# from every vertex of a long path, each level's pull count is below its
+# push count only once the vertices that have seen all their bits leave it
+@pytest.mark.parametrize("g", [DENSE, LONG_PATH], ids=["dense", "path"])
+def test_all_sources_pull(monkeypatch, g):
     taken = _directions(monkeypatch)
-    got = graph_closeness(DENSE)
+    got = graph_closeness(g)
     assert taken and all(taken)
-    assert _canonical(got) == _canonical(closeness_reference.graph_closeness(DENSE))
+    assert _canonical(got) == _canonical(closeness_reference.graph_closeness(g))
 
 
-def test_balls_of_a_dense_graph_pull(monkeypatch):
+@pytest.mark.parametrize("g", [DENSE, LONG_PATH], ids=["dense", "path"])
+def test_balls_pull(monkeypatch, g):
     taken = _directions(monkeypatch)
-    balls = graph._balls(DENSE.adj)
+    balls = graph._balls(g.adj)
     assert taken and all(taken)
-    assert balls == _reference_balls(DENSE)
+    assert balls == _reference_balls(g)
 
 
 def test_deletion_lanes_on_a_theta_pull(monkeypatch):

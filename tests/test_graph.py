@@ -385,11 +385,11 @@ def _mutated_edgelist(draw):
 def _unusual_edgelist(draw):
     """A valid edge list written unusually: edges in any order and either
     orientation, numbers with leading zeros or as -0, blanks of several
-    kinds around and between them, CRLF line ends, and blank and comment
-    lines anywhere."""
+    kinds (non-ASCII ones too) around and between them, CRLF line ends,
+    and blank and comment lines anywhere."""
     order, edges = draw(st.one_of(any_graph(), tree(), cycle()))
     edges = draw(st.permutations(edges))
-    blank = st.sampled_from([" ", "\t", "\x0b", "\f", "  ", " \t"])
+    blank = st.sampled_from([" ", "\t", "\x0b", "\f", "  ", " \t", "\xa0", "\u2028"])
 
     def number(k):
         zeros = draw(st.integers(min_value=0, max_value=2)) * "0"
