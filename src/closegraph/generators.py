@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 
-from .graph import MAX_ORDER, Graph, _parse_int
+from .graph import MAX_ORDER, Graph, _parse_int, _sorted_adjacency
 from .transforms import bridge_join
 
 __all__ = [
@@ -123,20 +123,22 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def gen_basic(spec: FamilySpec) -> Graph:
     """Build one of path, cycle, star, complete."""
-    n = spec.p1
-    if spec.family == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
-        return Graph.from_edges(n, edges, [f"P:{i}" for i in range(n)])
-    if spec.family == "cycle":
-        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-        return Graph.from_edges(n, edges, [f"C:{i}" for i in range(n)])
-    if spec.family == "star":
-        edges = [(0, i) for i in range(1, n)]
-        return Graph.from_edges(n, edges, [f"S:{i}" for i in range(n)])
-    if spec.family == "complete":
-        edges = list(combinations(range(n), 2))
-        return Graph.from_edges(n, edges, [f"K:{i}" for i in range(n)])
-    raise ValueError(f"{spec.family} is not a basic family")
+    n, fam = spec.p1, spec.family
+    if fam in ("path", "cycle"):
+        adj = [[i - 1, i + 1] for i in range(n)]
+        if fam == "path":  # no -1 before the first, no n after the last
+            del adj[0][0], adj[-1][-1]
+        else:
+            adj[0], adj[-1] = [1, n - 1], [0, n - 2]
+    elif fam == "star":
+        adj = [[0] for _ in range(n)]
+        adj[0] = list(range(1, n))
+    elif fam == "complete":
+        adj = [[*range(i), *range(i + 1, n)] for i in range(n)]
+    else:
+        raise ValueError(f"{fam} is not a basic family")
+    prefix = "K" if fam == "complete" else fam[0].upper()  # P, C, S or K
+    return Graph(n, adj, [f"{prefix}:{i}" for i in range(n)])
 
 
 def gen_composite(spec: FamilySpec) -> Graph:
@@ -179,7 +181,7 @@ def gen_random_connected(order: int, edge_budget: int, seed: int) -> Graph:
     extra = edge_budget - (order - 1)
     if extra:
         edges.update(rng.sample(_SparePairs(order, edges), extra))
-    return Graph.from_edges(order, sorted(edges))
+    return Graph(order, _sorted_adjacency(order, edges), [str(i) for i in range(order)])
 
 
 class _SparePairs(Sequence):

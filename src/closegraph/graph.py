@@ -63,8 +63,10 @@ class Graph:
     """Immutable simple undirected graph with dense 0-based vertex indices.
 
     Adjacency lists are kept sorted so iteration order, reports, and file
-    output are reproducible. Construct with :meth:`from_edges`; mutation
-    is not supported (the transforms build fresh graphs).
+    output are reproducible. :meth:`from_edges` validates callers' input;
+    the transforms, generators and edge-list reader build sorted adjacency
+    themselves and pass it to the constructor, which trusts it. Graphs may
+    share adjacency lists, so none is ever mutated.
     """
 
     __slots__ = ("order", "adj", "labels", "__weakref__")
@@ -81,7 +83,8 @@ class Graph:
         edges,
         labels: list[str] | None = None,
     ) -> "Graph":
-        """Build a graph, validating no loops, duplicates, or bad indices."""
+        """Build a graph from callers' input, rejecting loops, duplicates
+        and bad indices."""
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
         adj: list[set[int]] = [set() for _ in range(order)]
@@ -505,15 +508,21 @@ def _read_edgelist(text: str) -> Graph | None:
     us, vs = ends[::2], ends[1::2]
     if any(map(operator.eq, us, vs)):
         return None
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _sorted_adjacency(n, zip(us, vs))
     if sum(map(len, map(set, adj))) != 2 * m:  # a duplicate edge
         return None
+    return Graph(n, adj, labels)
+
+
+def _sorted_adjacency(order: int, edges) -> list[list[int]]:
+    """Sorted adjacency lists of edges on range(order), unchecked."""
+    adj: list[list[int]] = [[] for _ in range(order)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     for nbrs in adj:
         nbrs.sort()
-    return Graph(n, adj, labels)
+    return adj
 
 
 def _scan_edgelist(text: str) -> Graph:

@@ -9,7 +9,6 @@ bridge edge.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import mul
 
@@ -56,17 +55,14 @@ def shadow(g: Graph) -> tuple[Graph, list[Origin]]:
     vertex are never adjacent. Order doubles.
     """
     n = g.order
-    edges = []
-    for u, v in g.edges():
-        edges.append((u, v))
-        edges.append((u, n + v))
-        edges.append((n + u, v))
-        edges.append((n + u, n + v))
+    # both copies of u are adjacent to N(u), then to the copies of N(u)
+    adj = [nbrs + [n + w for w in nbrs] for nbrs in g.adj]
+    adj += [nbrs.copy() for nbrs in adj]
     labels = [lab + "'" for lab in g.labels] + [lab + '"' for lab in g.labels]
     origins = [Origin("copy0", i) for i in range(n)] + [
         Origin("copy1", i) for i in range(n)
     ]
-    return Graph.from_edges(2 * n, edges, labels), origins
+    return Graph(2 * n, adj, labels), origins
 
 
 def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
@@ -84,17 +80,19 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
             f"line graph would have {size} edges, more than the limit of {MAX_LINE_EDGES}"
         )
     edge_list = list(g.edges())
-    index = {e: k for k, e in enumerate(edge_list)}
-    ledges = []
-    for v in range(g.order):
-        incident = [index[(min(v, w), max(v, w))] for w in g.adj[v]]
-        # every pair of edges meeting at v becomes a line-graph edge;
-        # in a simple graph two edges share at most one vertex, so no
-        # pair is generated twice
-        ledges.extend(itertools.combinations(incident, 2))
+    inc: list[list[int]] = [[] for _ in range(g.order)]  # sorted edges at each vertex
+    for k, (u, v) in enumerate(edge_list):
+        inc[u].append(k)
+        inc[v].append(k)
+    # edge (u, v) meets the edges at u and v; two edges of a simple graph
+    # share at most one vertex, so only the edge itself is listed twice
+    ladj = [sorted(inc[u] + inc[v]) for u, v in edge_list]
+    for k, nbrs in enumerate(ladj):
+        i = nbrs.index(k)
+        del nbrs[i : i + 2]
     labels = [f"({g.labels[u]},{g.labels[v]})" for u, v in edge_list]
     origins = [Origin("edge", e) for e in edge_list]
-    return Graph.from_edges(len(edge_list), ledges, labels), origins
+    return Graph(len(edge_list), ladj, labels), origins
 
 
 def _check_join_vertices(g1: Graph, p: int, g2: Graph, q: int) -> None:
@@ -110,14 +108,15 @@ def bridge_join(g1: Graph, p: int, g2: Graph, q: int) -> tuple[Graph, list[Origi
     """
     _check_join_vertices(g1, p, g2, q)
     n1 = g1.order
-    edges = list(g1.edges())
-    edges.extend((n1 + u, n1 + v) for u, v in g2.edges())
-    edges.append((p, n1 + q))
+    # g1's lists but p's are shared; g1's indices are below g2's
+    adj = [*g1.adj, *([n1 + w for w in nbrs] for nbrs in g2.adj)]
+    adj[p] = [*g1.adj[p], n1 + q]
+    adj[n1 + q].insert(0, p)
     labels = list(g1.labels) + list(g2.labels)
     origins = [Origin("left", i) for i in range(n1)] + [
         Origin("right", j) for j in range(g2.order)
     ]
-    return Graph.from_edges(n1 + g2.order, edges, labels), origins
+    return Graph(n1 + g2.order, adj, labels), origins
 
 
 def coalesce_join(g1: Graph, p: int, g2: Graph, q: int) -> tuple[Graph, list[Origin]]:
@@ -128,17 +127,18 @@ def coalesce_join(g1: Graph, p: int, g2: Graph, q: int) -> tuple[Graph, list[Ori
     _check_join_vertices(g1, p, g2, q)
     n1 = g1.order
     # g2's vertices after q move down one place, into the gap q leaves
-    remap = {j: n1 + j - (j > q) for j in range(g2.order)}
+    remap = [n1 + j - (j > q) for j in range(g2.order)]
     remap[q] = p
-    edges = list(g1.edges())
-    edges.extend((min(remap[u], remap[v]), max(remap[u], remap[v])) for u, v in g2.edges())
+    # g1's lists but p's are shared; N(q) maps above N(p)
+    adj = [*g1.adj, *(sorted(map(remap.__getitem__, nbrs)) for nbrs in g2.adj)]
+    adj[p] = [*g1.adj[p], *adj.pop(n1 + q)]
     labels = list(g1.labels) + [g2.labels[j] for j in range(g2.order) if j != q]
     labels[p] = f"{g1.labels[p]}+{g2.labels[q]}"
     origins = [
         Origin("merged", (p, q)) if i == p else Origin("left", i) for i in range(n1)
     ]
     origins.extend(Origin("right", j) for j in range(g2.order) if j != q)
-    return Graph.from_edges(n1 + g2.order - 1, edges, labels), origins
+    return Graph(n1 + g2.order - 1, adj, labels), origins
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

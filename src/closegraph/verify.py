@@ -228,7 +228,7 @@ def _bridged(case: str, n: int):
     values = bridged_line(case, n)
     fam, attach = _BRIDGED_BASE[case]
     base = generate(FamilySpec(fam, n))
-    g, _ = bridge_join(base, attach, Graph.from_edges(1, [], ["B"]), 0)
+    g, _ = bridge_join(base, attach, Graph(1, [[]], ["B"]), 0)
     pendant_edge = (attach, g.order - 1)
     lg, origins = line_graph(g)
     bridge_idx = next(k for k, o in enumerate(origins) if o.source == pendant_edge)
@@ -260,13 +260,12 @@ def _shadow_random(idx: int, seed: int, max_order: int):
 def _shadow_mindeg(idx: int, seed: int, max_order: int):
     rng = _rng(seed, 4, idx)
     parts = rng.randint(1, 3)
-    edges: list[tuple[int, int]] = []
-    offset = 0
+    adj: list[list[int]] = []
     for _ in range(parts):
         comp = _random_graph(rng, 2, max(2, max_order // parts))
-        edges.extend((offset + u, offset + v) for u, v in comp.edges())
-        offset += comp.order
-    g = Graph.from_edges(offset, edges)
+        offset = len(adj)
+        adj.extend([offset + w for w in nbrs] for nbrs in comp.adj)
+    g = Graph(len(adj), adj, [str(i) for i in range(len(adj))])
     return _shadow_of("experiment_shadow_min_degree", idx, g.order, g)
 
 

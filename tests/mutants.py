@@ -1,0 +1,196 @@
+"""Mutation checks: each mutant breaks the package in one small way, and
+the tests it names must catch it.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+Each mutant replaces one exact text, which must occur exactly once, in
+one file of a temporary copy of src/ and tests/, then runs only its
+named tests there with pytest -x (Hypothesis derandomized). The script
+exits 1 if a mutant survives, if its old text no longer matches (a
+refactor must restate the mutant, not drop it), or if a named test
+fails, or is not found, on the unchanged copy. It needs only the
+standard library; pytest runs in a subprocess.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, one of which must fail
+
+
+GRAPH = "src/closegraph/graph.py"
+TRANSFORMS = "src/closegraph/transforms.py"
+GENERATORS = "src/closegraph/generators.py"
+KERNEL_TESTS = "tests/test_closeness_kernel.py"
+GRAPH_TESTS = "tests/test_graph.py"
+GUARD = "tests/test_trusted_construction.py"
+
+MUTANTS = (
+    # the level loop, graph._levels
+    Mutant(
+        "push-only", GRAPH,
+        "    return pull <= push\n",
+        "    return False\n",
+        (f"{KERNEL_TESTS}::test_all_sources_pull",),
+    ),
+    Mutant(
+        "pull-only", GRAPH,
+        "    return pull <= push\n",
+        "    return True\n",
+        (f"{KERNEL_TESTS}::test_one_source_on_a_long_path_pushes",),
+    ),
+    Mutant(
+        "pull-without-gate-bits", GRAPH,
+        "                acc = reach[v]\n",
+        "                acc = 0\n",
+        (f"{KERNEL_TESTS}::test_deletion_lanes_on_a_theta_pull",),
+    ),
+    Mutant(
+        "gate-ends-not-pending", GRAPH,
+        "if x and (degree[v] or v in ends)]",
+        "if x and degree[v]]",
+        (f"{KERNEL_TESTS}::test_each_direction_alone_matches_the_references",),
+    ),
+    Mutant(
+        "pull-count-never-lowered", GRAPH,
+        "                pull -= degree[v]\n",
+        "                pull -= 0\n",
+        (f"{KERNEL_TESTS}::test_balls_pull", f"{KERNEL_TESTS}::test_all_sources_pull"),
+    ),
+    Mutant(
+        "balls-seeded-without-own-bit", GRAPH,
+        "    unseen = [full ^ (1 << v) for v in range(n)]\n",
+        "    unseen = [full] * n\n",
+        (f"{KERNEL_TESTS}::test_balls_match_the_bfs_distances",),
+    ),
+    Mutant(
+        "ripple-add-without-carry-in", GRAPH,
+        "                    acc[p] = half ^ c\n",
+        "                    acc[p] = half\n",
+        (f"{KERNEL_TESTS}::test_deletion_sums_match_the_kernel_on_each_cut_adjacency",),
+    ),
+    # the edge-list reader and DOT output
+    Mutant(
+        "bulk-read-without-int-path", GRAPH,
+        "    if fields and not ends:\n",
+        "    if False:\n",
+        (f"{GRAPH_TESTS}::test_bulk_read_agrees_with_the_line_scan",),
+    ),
+    Mutant(
+        "bulk-read-without-duplicate-check", GRAPH,
+        "    if sum(map(len, map(set, adj))) != 2 * m:  # a duplicate edge\n        return None\n",
+        "",
+        (f"{GRAPH_TESTS}::test_bulk_read_agrees_with_the_line_scan",),
+    ),
+    Mutant(
+        "unescaped-dot-labels", GRAPH,
+        r"""        quoted = label.replace("\\", "\\\\").replace('"', '\\"')""" "\n",
+        "        quoted = label\n",
+        (f"{GRAPH_TESTS}::test_dot_labels_are_quoted_strings_on_a_shadow_of_a_shadow",),
+    ),
+    # trusted construction in the transforms and generators
+    Mutant(
+        "line-vertex-keeps-itself", TRANSFORMS,
+        "        del nbrs[i : i + 2]\n",
+        "        del nbrs[i : i + 1]\n",
+        (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
+    ),
+    Mutant(
+        "shadow-copies-adjacent", TRANSFORMS,
+        "    adj = [nbrs + [n + w for w in nbrs] for nbrs in g.adj]\n",
+        "    adj = [nbrs + [n + w for w in nbrs] + [n + u] for u, nbrs in enumerate(g.adj)]\n",
+        (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
+    ),
+    Mutant(
+        "one-sided-bridge", TRANSFORMS,
+        "    adj[n1 + q].insert(0, p)\n",
+        "",
+        (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
+    ),
+    Mutant(
+        "unsorted-path", GENERATORS,
+        "            del adj[0][0], adj[-1][-1]\n",
+        "            del adj[0][0], adj[-1][-1]\n"
+        "            adj[1:-1] = [[i + 1, i - 1] for i in range(1, n - 1)]\n",
+        (f"{GUARD}::test_every_family_builds_what_from_edges_builds",),
+    ),
+    Mutant(
+        "bridge-join-mutates-its-input", TRANSFORMS,
+        "    adj[p] = [*g1.adj[p], n1 + q]\n",
+        "    adj[p].append(n1 + q)\n",
+        (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
+    ),
+)
+
+
+def pytest_status(copy: Path, tests) -> int:
+    """pytest's exit status on tests in copy: 0 all passed, 1 one failed."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *tests,
+    ]
+    return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    names = parser.parse_args(argv).names
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    faults = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if pytest_status(copy, tests) != 0:
+            print("the named tests do not all pass on the unchanged code")
+            return 1
+        for m in chosen:
+            path = copy / m.file
+            text = path.read_text()
+            count = text.count(m.old)
+            if count != 1:
+                verdict = f"STALE (old text found {count} times in {m.file})"
+            else:
+                path.write_text(text.replace(m.old, m.new))
+                status = pytest_status(copy, m.tests)
+                path.write_text(text)
+                verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+            print(f"{verdict:<10} {m.name}", flush=True)
+            if verdict != "killed":
+                faults.append(m.name)
+    if faults:
+        print(f"{len(faults)} of {len(chosen)} mutants not killed: {', '.join(faults)}")
+        return 1
+    print(f"all {len(chosen)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
