@@ -64,9 +64,9 @@ class Graph:
 
     Adjacency lists are kept sorted so iteration order, reports, and file
     output are reproducible. :meth:`from_edges` validates callers' input;
-    the transforms, generators and edge-list reader build sorted adjacency
-    themselves and pass it to the constructor, which trusts it. Graphs may
-    share adjacency lists, so none is ever mutated.
+    the transforms and generators build sorted adjacency themselves and
+    pass it to the constructor, which trusts it. Graphs may share lists,
+    so none is ever mutated.
     """
 
     __slots__ = ("order", "adj", "labels", "__weakref__")
@@ -84,7 +84,7 @@ class Graph:
         labels: list[str] | None = None,
     ) -> "Graph":
         """Build a graph from callers' input, rejecting loops, duplicates
-        and bad indices."""
+        and bad indices; the package's own builders skip these checks."""
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
         adj: list[set[int]] = [set() for _ in range(order)]

@@ -25,8 +25,8 @@ __all__ = [
     "add_edge",
 ]
 
-# Most edges line_graph builds, about 250 B each. The line graph of a
-# star is complete, so L(S_100000) would take about 1 TB; the sweep's
+# Most edges line_graph builds, about 17 B each. The line graph of a
+# star is complete, so L(S_100000) would take about 85 GB; the sweep's
 # largest, L(K_128 plus a pendant edge) at the bridged window cap, has
 # 1,024,255 edges.
 MAX_LINE_EDGES = 1 << 20
@@ -80,7 +80,7 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
             f"line graph would have {size} edges, more than the limit of {MAX_LINE_EDGES}"
         )
     edge_list = list(g.edges())
-    inc: list[list[int]] = [[] for _ in range(g.order)]  # sorted edges at each vertex
+    inc = [[] for _ in range(g.order)]  # the edges at each vertex, sorted
     for k, (u, v) in enumerate(edge_list):
         inc[u].append(k)
         inc[v].append(k)
