@@ -67,14 +67,22 @@ class Graph:
     the transforms and generators build sorted adjacency themselves and
     pass it to the constructor, which trusts it. Graphs may share lists,
     so none is ever mutated.
+
+    _cover is None or a clique cover of part of adj that the closeness
+    kernel pulls through (_levels), set only by transforms.line_graph:
+    (cliques, hubs, scan), where cliques[c] lists clique c's members,
+    hubs[v] holds order + c for each clique c of v, and scan[v] is v's
+    neighbours outside its cliques, sorted, then hubs[v]. Equality, edges
+    and output ignore it.
     """
 
-    __slots__ = ("order", "adj", "labels", "__weakref__")
+    __slots__ = ("order", "adj", "labels", "_cover", "__weakref__")
 
     def __init__(self, order: int, adj: list[list[int]], labels: list[str]):
         self.order = order
         self.adj = adj
         self.labels = labels
+        self._cover = None
 
     @classmethod
     def from_edges(
@@ -194,7 +202,7 @@ def _pulls(push: int, pull: int) -> bool:
     return pull <= push
 
 
-def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None):
+def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None, cover=None):
     """The level loop of the bitset BFS traversals below (multi-source
     bit-parallel BFS; Then et al., PVLDB 2014), one bit per BFS.
 
@@ -204,32 +212,47 @@ def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None):
     bits into their neighbours and yields the next frontier: (v, new) per
     vertex v that new bits first reach, so the k-th holds the bits at
     distance k from v. gates, if given, maps edges (u, w) that adj leaves
-    out to the bits that may cross them from u to w.
+    out to the bits that may cross them from u to w. cover, if given, is
+    a clique cover of adj (Graph._cover) that pulls read through.
 
     A level goes in one of two directions (direction-optimizing BFS;
-    Beamer, Asanovic & Patterson, SC 2012), whichever scans fewer entries
-    of adj, by _pulls: push ORs each frontier vertex's bits into its
-    neighbours, scanning the frontier's degrees; pull ORs, for each vertex
-    with unseen bits, its neighbours' frontier bits into one local,
-    scanning those vertices' degrees. Both counts are kept exact, from the
-    frontier and as vertices see all their bits. Gates cross by push in
-    both directions.
+    Beamer, Asanovic & Patterson, SC 2012), whichever scans fewer entries,
+    by _pulls: push ORs each frontier vertex's bits into its neighbours,
+    scanning the frontier's degrees; pull ORs, for each vertex with unseen
+    bits, its neighbours' frontier bits into one local, scanning those
+    vertices' degrees. Both counts are kept exact, from the frontier and
+    as vertices see all their bits. Gates cross by push in both directions.
+
+    With a cover, a pull first ORs each frontier vertex's bits into the
+    hub int of each of its cliques, at[order + c], and each vertex then
+    scans cover's scan list, reading its cliques' members as one int
+    each. A clique of q members costs 2q entries a level instead of
+    q(q - 1), fewer once q >= 4, and the pull count includes the hub
+    writes. Pushes scan adj: f frontier members of a clique cost f(q - 1)
+    entries there against f + q by hub, and line graphs mostly pull.
 
     at[v] holds the bits last new at v, which pull and the gates read as
-    v's frontier bits. It is never cleared: bits new at v on an earlier
-    level crossed every edge out of v on the level after, so a stale
-    entry adds nothing new. So the work outside the scans is proportional
-    to the frontier, or to the vertices pulled.
+    v's frontier bits. It is never cleared, and hub ints only gain bits:
+    bits new at v on an earlier level crossed every edge out of v on the
+    level after, so a stale entry adds nothing new. So the work outside
+    the scans is proportional to the frontier, or to the vertices pulled.
     """
-    degree = list(map(len, adj))
+    degree = list(map(len, adj))  # entries a push scans
+    cost, scan = degree, adj  # entries a pull scans, and the lists it scans
+    at = [0] * len(adj)
+    if cover:
+        cliques, hubs, scan = cover
+        cost = list(map(len, scan))
+        # so that _pulls weighs the pull's scans and hub writes against the push
+        degree = [d - len(h) for d, h in zip(degree, hubs)]
+        at += [0] * len(cliques)
     # the vertices that may still pull new bits; gate ends pull through
     # their gates even without adjacency
     ends = {w for _, w in gates} if gates else ()
-    pending = [v for v, x in enumerate(unseen) if x and (degree[v] or v in ends)]
-    pull = sum([degree[v] for v in pending])
+    pending = [v for v, x in enumerate(unseen) if x and (cost[v] or v in ends)]
+    pull = sum([cost[v] for v in pending])
     finished = False  # whether a pending vertex has seen all its bits since pending was built
     push = sum([degree[u] for u, _ in frontier])
-    at = [0] * len(adj)
     for u, bits in frontier:
         at[u] = bits
     reach = [0] * len(adj)  # bits reaching each vertex on a level, by push or gate
@@ -248,9 +271,13 @@ def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None):
             if finished:
                 pending = [v for v in pending if unseen[v]]
                 finished = False
+            if cover:
+                for u, bits in frontier:
+                    for h in hubs[u]:
+                        at[h] |= bits
             for v in pending:
                 acc = reach[v]
-                for w in adj[v]:
+                for w in scan[v]:
                     acc |= at[w]
                 new = acc & unseen[v]
                 if new:
@@ -276,27 +303,18 @@ def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None):
             at[v] = new
             push += degree[v]
             if not unseen[v]:
-                pull -= degree[v]
+                pull -= cost[v]
                 finished = True
         frontier = nxt
         yield frontier
 
 
-def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]]:
-    """Per vertex v, the sum over s in sources of 2**-d(s, v), by
-    multi-source BFS on the adjacency lists adj. sources is a sequence
-    (a range or a list) of distinct vertices.
-
-    Returns (num, depth): v's sum is num[v] / 2**depth[v]. Sources run in
-    blocks of _width(n), one bit each, through _levels. The bits new at v
-    on level k are the block's sources at distance k from v, so their
-    count is the number of those sources. Within a block, v's numerator
-    is kept by lazy Horner over 2**(last level that reached v); blocks
-    are combined by shifting to the deeper of the two.
-    """
+def _source_levels(adj: list[list[int]], sources, cover=None):
+    """Per block of _width(n) sources, one bit each, the run of _levels
+    from them: the bits new at v on level k are the block's sources at
+    distance k from v. sources is a sequence (a range or a list) of
+    distinct vertices."""
     n = len(adj)
-    num = [0] * n
-    depth = [0] * n
     width = _width(n)
     for lo in range(0, len(sources), width):
         block = sources[lo : lo + width]
@@ -304,9 +322,27 @@ def _closeness_sums(adj: list[list[int]], sources) -> tuple[list[int], list[int]
         frontier = [(s, 1 << i) for i, s in enumerate(block)]
         for s, bit in frontier:
             unseen[s] ^= bit
+        yield _levels(adj, frontier, unseen, cover=cover)
+
+
+def _closeness_sums(adj: list[list[int]], sources, cover=None) -> tuple[list[int], list[int]]:
+    """Per vertex v, the sum over s in sources of 2**-d(s, v), by
+    multi-source BFS on the adjacency lists adj (and their cover, if
+    given), in the blocks of _source_levels.
+
+    Returns (num, depth): v's sum is num[v] / 2**depth[v]. The count of
+    the bits new at v on level k is the number of the block's sources at
+    distance k. Within a block, v's numerator is kept by lazy Horner over
+    2**(last level that reached v); blocks are combined by shifting to
+    the deeper of the two.
+    """
+    n = len(adj)
+    num = [0] * n
+    depth = [0] * n
+    for levels in _source_levels(adj, sources, cover):
         block_num = [0] * n
         last = [0] * n
-        for k, level in enumerate(_levels(adj, frontier, unseen), 1):
+        for k, level in enumerate(levels, 1):
             for v, new in level:
                 block_num[v] = (block_num[v] << (k - last[v])) + new.bit_count()
                 last[v] = k
@@ -449,13 +485,27 @@ def graph_closeness(g: Graph) -> ClosenessReport:
     """Per-vertex closenesses and the graph total, by multi-source BFS
     from every vertex (distance is symmetric, so v's sum over all
     sources is the closeness of v)."""
-    num, depth = _closeness_sums(g.adj, range(g.order))
+    num, depth = _closeness_sums(g.adj, range(g.order), g._cover)
     deepest = max(depth, default=0)
     total = sum(c << (deepest - d) for c, d in zip(num, depth))
     return ClosenessReport(
         per_vertex=[Dyadic(c, d) for c, d in zip(num, depth)],
         total=Dyadic(total, deepest),
     )
+
+
+def _total_closeness(g: Graph) -> Dyadic:
+    """graph_closeness(g).total, read off level counts: the bits new on
+    level k of _source_levels from every vertex are the ordered pairs at
+    distance k, so with c_k of them the total is the sum of c_k * 2**-k.
+    No per-vertex sum is kept."""
+    total = Dyadic(0)
+    new_bits = operator.itemgetter(1)
+    for levels in _source_levels(g.adj, range(g.order), g._cover):
+        counts = [sum(map(int.bit_count, map(new_bits, level))) for level in levels]
+        deepest = len(counts)
+        total += Dyadic(sum(c << (deepest - k) for k, c in enumerate(counts, 1)), deepest)
+    return total
 
 
 def parse_edgelist(text: str) -> Graph:

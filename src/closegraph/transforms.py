@@ -70,6 +70,11 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
     edges share an endpoint. Vertices are ordered by their (u, v)
     endpoint pair, u < v, lexicographically.
 
+    The edges at a vertex of g are a clique of the line graph. Those of
+    four edges or more form its clique cover (Graph._cover), in vertex
+    order, which the closeness kernel reads instead of their q(q - 1)
+    adjacency entries; smaller ones stay in the scanned lists.
+
     Raises ValueError, before building anything, when the line graph
     would have more than MAX_LINE_EDGES edges.
     """
@@ -92,7 +97,28 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
         del nbrs[i : i + 2]
     labels = [f"({g.labels[u]},{g.labels[v]})" for u, v in edge_list]
     origins = [Origin("edge", e) for e in edge_list]
-    return Graph(len(edge_list), ladj, labels), origins
+    m = len(edge_list)
+    lg = Graph(m, ladj, labels)
+    big = [x for x, star in enumerate(inc) if len(star) >= 4]
+    if big:
+        hub = [0] * g.order  # the hub slot, m + c, of the vertex of clique c
+        for c, x in enumerate(big):
+            hub[x] = m + c
+        hubs, scan = [], []
+        for k, (u, v) in enumerate(edge_list):
+            hu, hv = hub[u], hub[v]
+            if hu and hv:
+                mine = [hu, hv]
+                scan.append(mine)
+            elif hu or hv:
+                mine = [hu or hv]
+                scan.append([j for j in inc[v if hu else u] if j != k] + mine)
+            else:
+                mine = []
+                scan.append(ladj[k])
+            hubs.append(mine)
+        lg._cover = ([inc[x] for x in big], hubs, scan)
+    return lg, origins
 
 
 def _check_join_vertices(g1: Graph, p: int, g2: Graph, q: int) -> None:

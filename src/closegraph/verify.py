@@ -26,13 +26,13 @@ over worker processes; aggregation order is independent of the degree.
 from __future__ import annotations
 
 import csv
-import json
 import multiprocessing
 import os
 import random
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as quote
 
 from .dyadic import Dyadic
 from .formulas import (
@@ -58,7 +58,7 @@ from .generators import (
     gen_random_connected,
     generate,
 )
-from .graph import Graph, _parse_int, graph_closeness
+from .graph import Graph, _parse_int, _total_closeness, graph_closeness
 from .transforms import bridge_join, coalesce_join, line_graph, shadow
 
 __all__ = [
@@ -202,13 +202,13 @@ def _eval_task(task) -> list[VerificationRecord]:
 
 def _family(fam: str, p1: int, p2: int | None):
     spec = FamilySpec(fam, p1, p2)
-    oracle = graph_closeness(generate(spec)).total
+    oracle = _total_closeness(generate(spec))
     return [_record(f"C_{fam}", p1, p2, closed_form(spec), oracle)]
 
 
 def _line(fam: str, p1: int, p2: int | None):
     spec = FamilySpec(fam, p1, p2)
-    oracle = graph_closeness(line_graph(generate(spec))[0]).total
+    oracle = _total_closeness(line_graph(generate(spec))[0])
     return [_record(f"CL_{fam}", p1, p2, closed_form_line(spec), oracle)]
 
 
@@ -243,9 +243,9 @@ def _bridged(case: str, n: int):
 
 
 def _shadow_of(check: str, p1: int, p2: int | None, g: Graph):
-    predicted = shadow_closeness(graph_closeness(g).total, g.order)
+    predicted = shadow_closeness(_total_closeness(g), g.order)
     sg, _ = shadow(g)
-    return [_record(check, p1, p2, predicted, graph_closeness(sg).total)]
+    return [_record(check, p1, p2, predicted, _total_closeness(sg))]
 
 
 def _shadow_instance(fam: str, n: int):
@@ -284,11 +284,11 @@ def _rule_random(idx: int, seed: int, max_order: int):
     return [
         _record(
             "rule_bridge:random", idx, both,
-            compose_bridge(*values), graph_closeness(bridged).total,
+            compose_bridge(*values), _total_closeness(bridged),
         ),
         _record(
             "rule_coalesce:random", idx, both,
-            compose_coalesce(*values), graph_closeness(merged).total,
+            compose_coalesce(*values), _total_closeness(merged),
         ),
     ]
 
@@ -444,13 +444,19 @@ def write_csv(records, path) -> None:
 
 def write_json(records, path) -> None:
     """The bytes of json.dump(list, fh, indent=2) plus a newline, written
-    one record at a time so no list of dicts is built."""
-    encode = json.JSONEncoder(indent=2).encode
+    one f-string per record: with indent set, json runs its pure-Python
+    encoder. Check names are escaped as json escapes them; canonical
+    dyadic text needs no escaping."""
     with open(path, "w") as fh:
         sep = "[\n  "
         for rec in records:
-            fh.write(sep)
-            fh.write(encode(rec.to_json()).replace("\n", "\n  "))
+            p2 = "null" if rec.p2 is None else rec.p2
+            fh.write(
+                f'{sep}{{\n    "family": {quote(rec.check)},\n    "p1": {rec.p1},\n'
+                f'    "p2": {p2},\n    "formula": "{rec.formula.canonical()}",\n'
+                f'    "oracle": "{rec.oracle.canonical()}",\n'
+                f'    "pass": {"true" if rec.passed else "false"}\n  }}'
+            )
             sep = ",\n  "
         fh.write("[]\n" if sep == "[\n  " else "\n]\n")
 

@@ -66,13 +66,13 @@ MUTANTS = (
     ),
     Mutant(
         "gate-ends-not-pending", GRAPH,
-        "if x and (degree[v] or v in ends)]",
-        "if x and degree[v]]",
+        "if x and (cost[v] or v in ends)]",
+        "if x and cost[v]]",
         (f"{KERNEL_TESTS}::test_each_direction_alone_matches_the_references",),
     ),
     Mutant(
         "pull-count-never-lowered", GRAPH,
-        "                pull -= degree[v]\n",
+        "                pull -= cost[v]\n",
         "                pull -= 0\n",
         (f"{KERNEL_TESTS}::test_balls_pull", f"{KERNEL_TESTS}::test_all_sources_pull"),
     ),
@@ -138,6 +138,46 @@ MUTANTS = (
         "    adj[p] = [*g1.adj[p], n1 + q]\n",
         "    adj[p].append(n1 + q)\n",
         (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
+    ),
+    # line graphs read through their clique cover, and totals by level counts
+    Mutant(
+        "pull-skips-hub-reads", GRAPH,
+        "                for w in scan[v]:\n                    acc |= at[w]\n",
+        "                for w in scan[v]:\n                    if w < len(adj):\n"
+        "                        acc |= at[w]\n",
+        (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+    ),
+    Mutant(
+        "hub-keeps-one-member", GRAPH,
+        "                        at[h] |= bits\n",
+        "                        at[h] = bits\n",
+        (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+    ),
+    Mutant(
+        "hubs-miss-one-endpoint-star", TRANSFORMS,
+        "                mine = [hu, hv]\n",
+        "                mine = [hu]\n",
+        (f"{GUARD}::test_line_graph_cover_reproduces_its_adjacency",
+         f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency"),
+    ),
+    Mutant(
+        "cover-scan-drops-a-neighbour", TRANSFORMS,
+        "if j != k] + mine)",
+        "if j > k] + mine)",
+        (f"{GUARD}::test_line_graph_cover_reproduces_its_adjacency",
+         f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency"),
+    ),
+    Mutant(
+        "totals-keep-only-the-last-block", GRAPH,
+        "        total += Dyadic(",
+        "        total = Dyadic(",
+        (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
+    ),
+    Mutant(
+        "totals-drop-the-last-level", GRAPH,
+        "map(new_bits, level))) for level in levels]",
+        "map(new_bits, level))) for level in list(levels)[:-2]]",
+        (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
 )
 

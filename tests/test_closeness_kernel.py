@@ -1,21 +1,27 @@
 """The bitset BFS traversals against their references: the multi-source
 kernel against the per-source BFS, the balls against balls read off
 per-source BFS distances, and the lane-parallel deletion sums against
-the kernel run on each explicitly cut adjacency."""
+the kernel run on each explicitly cut adjacency; line graphs read through
+their clique cover against their plain adjacency; and the totals read off
+level counts against the per-vertex kernel."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closegraph import graph
+from closegraph import graph, verify
 from closegraph.dyadic import Dyadic
-from closegraph.generators import FamilySpec, gen_random_connected, generate
-from closegraph.graph import bfs_distances, graph_closeness
+from closegraph.formulas import BRIDGED_CASES
+from closegraph.generators import (COMPOSITE_FAMILIES, MINIMA, FamilySpec, gen_random_connected,
+                                   generate)
+from closegraph.graph import Graph, bfs_distances, graph_closeness
+from closegraph.transforms import line_graph
 
 import closeness_reference
-from conftest import build
+from conftest import build, oracle_vertex_closeness
 from strategies import (any_graph, complete, complete_minus_edge, cycle, even_cycle_with_chord,
                         shuffled, spider, theta, tree)
 
@@ -335,3 +341,146 @@ def test_each_direction_alone_matches_the_references(pull, case):
         assert_matches_reference(g)
         assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
         assert graph._deletion_sums(g.adj, edits) == want, (g.order, list(g.edges()), edits)
+
+
+# -- line graphs read through their clique cover, and totals read off level
+# counts --------------------------------------------------------------------
+
+def _edges_of(g):
+    return g.order, list(g.edges())
+
+
+@st.composite
+def star(draw):
+    """A star of 0 to 7 edges; those of 3 and 4 edges straddle the cover's
+    four-edge rule."""
+    leaves = draw(st.one_of(st.sampled_from([3, 4]), st.integers(min_value=0, max_value=7)))
+    return leaves + 1, [(0, v) for v in range(1, leaves + 1)]
+
+
+@st.composite
+def composite(draw):
+    fam = draw(st.sampled_from(COMPOSITE_FAMILIES))
+    lo1, lo2 = MINIMA[fam]
+    p1 = draw(st.integers(min_value=max(lo1, 3), max_value=7))
+    return _edges_of(generate(FamilySpec(fam, p1, draw(st.integers(min_value=lo2, max_value=lo2 + 4)))))
+
+
+@st.composite
+def bridged(draw):
+    """A base graph of a pendant-bridge sweep check with its pendant edge."""
+    case = draw(st.sampled_from(sorted(BRIDGED_CASES)))
+    n = draw(st.integers(min_value=BRIDGED_CASES[case], max_value=BRIDGED_CASES[case] + 5))
+    fam, attach = verify._BRIDGED_BASE[case]
+    order, edges = _edges_of(generate(FamilySpec(fam, n)))
+    return order + 1, edges + [(attach, order)]
+
+
+@st.composite
+def at_most_one_edge(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    return n, [(0, 1)] if n >= 2 and draw(st.booleans()) else []
+
+
+@st.composite
+def dense(draw):
+    """A random graph on 5 to 9 vertices with at least 2n edges."""
+    n = draw(st.integers(min_value=5, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    return n, draw(st.lists(st.sampled_from(pairs), min_size=2 * n, unique=True))
+
+
+# graphs whose line graphs carry a cover, and some whose do not, as
+# disjoint unions of one or two parts with isolated vertices
+HUB_GRAPHS = shuffled(
+    st.one_of(dense(), star(), complete(), composite(), bridged(), at_most_one_edge(), any_graph())
+)
+
+
+def _oracle(g):
+    return [oracle_vertex_closeness(g, v) for v in range(g.order)]
+
+
+def _fraction(d):
+    return Fraction(d.numerator, 2 ** d.exponent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(HUB_GRAPHS)
+def test_line_graphs_read_through_their_cover_match_plain_adjacency(g):
+    """The kernel on line_graph(g), with its cover, against the same
+    adjacency with no cover, the networkx oracle and the totals path."""
+    lg = line_graph(g)[0]
+    plain = Graph.from_edges(lg.order, list(lg.edges()))
+    assert plain._cover is None
+    got = graph_closeness(lg)
+    assert _canonical(got) == _canonical(graph_closeness(plain)), (g.order, list(g.edges()))
+    assert list(map(_fraction, got.per_vertex)) == _oracle(lg)
+    assert graph._total_closeness(lg) == got.total
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(g=HUB_GRAPHS)
+def test_cover_and_totals_across_block_boundaries(block, g):
+    lg = line_graph(g)[0]
+    want = _canonical(closeness_reference.graph_closeness(lg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK", block)
+        mp.setattr(graph, "_BLOCK_BITS", 0)
+        assert _canonical(graph_closeness(lg)) == want
+        assert graph._total_closeness(lg).canonical() == want[1]
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(ANY_SMALL_GRAPH, shuffled(st.one_of(spider(), theta(), even_cycle_with_chord()))))
+def test_totals_match_the_per_vertex_kernel(block, g):
+    """On every shape of tests/strategies.py, whole and in blocks of one
+    and three sources."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph, "_BLOCK", block)
+            mp.setattr(graph, "_BLOCK_BITS", 0)
+        assert graph._total_closeness(g) == graph_closeness(g).total, (g.order, list(g.edges()))
+
+
+@pytest.mark.parametrize("leaves", [3, 4, 5])
+def test_line_graphs_of_stars_at_the_cover_boundary(leaves):
+    """A star of 3, 4 or 5 edges, a path of 7 edges from one of its
+    leaves, and at the path's far end a second star as large: the stars'
+    line graphs are cliques, whose bits cross the path a level at a
+    time."""
+    end = leaves + 7
+    g = build(end + leaves, [(0, v) for v in range(1, leaves + 1)]
+              + [(v, v + 1) for v in range(leaves, end)]
+              + [(end, v) for v in range(end + 1, end + leaves)])
+    lg = line_graph(g)[0]
+    assert (lg._cover is None) == (leaves < 4)
+    assert _canonical(graph_closeness(lg)) == _canonical(closeness_reference.graph_closeness(lg))
+    assert list(map(_fraction, graph_closeness(lg).per_vertex)) == _oracle(lg)
+
+
+@pytest.mark.parametrize("pull", [False, True], ids=["push", "pull"])
+@settings(max_examples=60, deadline=None)
+@given(g=HUB_GRAPHS)
+def test_each_direction_alone_with_a_cover(pull, g):
+    """Every level forced one way on a line graph with its cover: the
+    per-vertex kernel and the totals still match the per-source BFS."""
+    lg = line_graph(g)[0]
+    want = _canonical(closeness_reference.graph_closeness(lg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_pulls", lambda push, pulled: pull)
+        assert _canonical(graph_closeness(lg)) == want, (g.order, list(g.edges()))
+        assert graph._total_closeness(lg).canonical() == want[1]
+
+
+def test_line_graph_of_a_lollipop_pulls_through_its_cover(monkeypatch):
+    """Every level of L(lollipop 8, 12) pulls: a pull reads each clique
+    member's hub once, where adj would scan the whole clique."""
+    lg = line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]
+    assert lg._cover is not None
+    taken = _directions(monkeypatch)
+    got = graph_closeness(lg)
+    assert taken and all(taken)
+    assert _canonical(got) == _canonical(closeness_reference.graph_closeness(lg))
