@@ -517,7 +517,8 @@ def parse_edgelist(text: str) -> Graph:
     the 1-based line number.
 
     The text is read in bulk, each check run once over whole lists; only
-    when one fails does _scan_edgelist read it line by line, to name the
+    when one fails, or an index is not written as str() writes it (leading
+    zeros, '-0'), does _scan_edgelist read it line by line, to name the
     first bad line.
     """
     g = _read_edgelist(text)
@@ -525,7 +526,8 @@ def parse_edgelist(text: str) -> Graph:
 
 
 def _read_edgelist(text: str) -> Graph | None:
-    """The graph of a well-formed edge list, or None if a check fails."""
+    """The graph of a well-formed edge list whose indices are written as
+    str() writes them, or None."""
     rows = list(filter(None, map(str.split, text.split("\n"))))
     if "#" in text:
         rows = [row for row in rows if row[0][0] != "#"]
@@ -539,22 +541,10 @@ def _read_edgelist(text: str) -> Graph | None:
         return None
     fields = list(itertools.chain.from_iterable(itertools.islice(rows, 1, None)))
     labels = list(map(str, range(n)))
-    ends: list[int] = []
-    if n <= len(fields):  # an index of the n labels saves an int() per field
-        try:
-            ends = list(map(dict(zip(labels, range(n))).__getitem__, fields))
-        except KeyError:  # leading zeros, '-0' or a fault
-            pass
-    if fields and not ends:
-        digits = "".join(fields).replace("-", "")
-        if not (digits.isascii() and digits.isdigit()):
-            return None
-        try:
-            ends = list(map(int, fields))  # each an _INTEGER unless a '-' is misplaced
-        except ValueError:
-            return None
-        if not (0 <= min(ends) and max(ends) < n):
-            return None
+    try:  # each label maps to its index, so the lookup checks the range
+        ends = list(map(dict(zip(labels, range(n))).__getitem__, fields))
+    except KeyError:  # out of range, leading zeros, '-0' or not a number
+        return None
     us, vs = ends[::2], ends[1::2]
     if any(map(operator.eq, us, vs)):
         return None

@@ -55,9 +55,9 @@ def shadow(g: Graph) -> tuple[Graph, list[Origin]]:
     vertex are never adjacent. Order doubles.
     """
     n = g.order
-    # both copies of u are adjacent to N(u), then to the copies of N(u)
+    # both copies of u share one list: N(u), then the copies of N(u)
     adj = [nbrs + [n + w for w in nbrs] for nbrs in g.adj]
-    adj += [nbrs.copy() for nbrs in adj]
+    adj += adj
     labels = [lab + "'" for lab in g.labels] + [lab + '"' for lab in g.labels]
     origins = [Origin("copy0", i) for i in range(n)] + [
         Origin("copy1", i) for i in range(n)

@@ -40,9 +40,11 @@ class Mutant(NamedTuple):
 GRAPH = "src/closegraph/graph.py"
 TRANSFORMS = "src/closegraph/transforms.py"
 GENERATORS = "src/closegraph/generators.py"
+VULNERABILITY = "src/closegraph/vulnerability.py"
 KERNEL_TESTS = "tests/test_closeness_kernel.py"
 GRAPH_TESTS = "tests/test_graph.py"
 GUARD = "tests/test_trusted_construction.py"
+VULN_TESTS = "tests/test_vulnerability.py"
 
 MUTANTS = (
     # the level loop, graph._levels
@@ -90,9 +92,14 @@ MUTANTS = (
     ),
     # the edge-list reader and DOT output
     Mutant(
-        "bulk-read-without-int-path", GRAPH,
-        "    if fields and not ends:\n",
-        "    if False:\n",
+        "bulk-read-falls-back-to-int-without-range-check", GRAPH,
+        "    except KeyError:  # out of range, leading zeros, '-0' or not a number\n"
+        "        return None\n",
+        "    except KeyError:\n"
+        "        try:\n"
+        "            ends = list(map(int, fields))\n"
+        "        except ValueError:\n"
+        "            return None\n",
         (f"{GRAPH_TESTS}::test_bulk_read_agrees_with_the_line_scan",),
     ),
     Mutant(
@@ -178,6 +185,33 @@ MUTANTS = (
         "map(new_bits, level))) for level in levels]",
         "map(new_bits, level))) for level in list(levels)[:-2]]",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
+    ),
+    # the vulnerability state: only-parent sets by counting, gains from the balls
+    Mutant(
+        "parents-counted-once", VULNERABILITY,
+        "                twice |= once & mine\n",
+        "                twice |= mine\n",
+        (f"{VULN_TESTS}::test_matches_exhaustive_search",
+         f"{VULN_TESTS}::test_bitset_rests_match_the_distance_rows"),
+    ),
+    Mutant(
+        "only-parent-ignores-the-others", VULNERABILITY,
+        "                only[y, v] = mine & ~twice\n",
+        "                only[y, v] = mine\n",
+        (f"{VULN_TESTS}::test_bitset_rests_match_the_distance_rows",),
+    ),
+    Mutant(
+        "gain-counts-the-old-ball", VULNERABILITY,
+        "& ~ball_s[k]",
+        "& ball_s[k]",
+        (f"{VULN_TESTS}::test_additional_path3", f"{VULN_TESTS}::test_matches_exhaustive_search"),
+    ),
+    Mutant(
+        "settled-at-the-near-component", VULNERABILITY,
+        "ball_far[top].bit_count()",
+        "balls[near][top].bit_count()",
+        (f"{VULN_TESTS}::test_additions_joining_two_components",
+         f"{VULN_TESTS}::test_matches_exhaustive_search"),
     ),
 )
 

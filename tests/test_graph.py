@@ -418,20 +418,26 @@ def _unusual_edgelist(draw):
     )
 )
 def test_bulk_read_agrees_with_the_line_scan(text):
-    """The bulk read takes every text the line scan takes, to the same
-    graph, and rejects every other, which parse_edgelist then reports
-    with the line scan's message."""
+    """The bulk read gives None or the line scan's graph, and a graph for
+    every edge list format_edgelist writes; so parse_edgelist gives the
+    line scan's graph, or its message."""
+
+    def parts(g):
+        return g.order, g.adj, g.labels
+
+    got = graph._read_edgelist(text)
     try:
         want = graph._scan_edgelist(text)
     except ValueError as exc:
-        assert graph._read_edgelist(text) is None, text
-        with pytest.raises(ValueError) as got:
+        assert got is None, text
+        with pytest.raises(ValueError) as raised:
             parse_edgelist(text)
-        assert str(got.value) == str(exc)
+        assert str(raised.value) == str(exc)
         return
-    got = graph._read_edgelist(text)
-    assert got is not None, text
-    assert (got.order, got.adj, got.labels) == (want.order, want.adj, want.labels)
+    assert got is None or parts(got) == parts(want), text
+    assert parts(parse_edgelist(text)) == parts(want)
+    written = graph._read_edgelist(format_edgelist(want))
+    assert written is not None and parts(written) == parts(want), text
 
 
 @settings(max_examples=200, deadline=None)
