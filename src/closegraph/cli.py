@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dyadic import Dyadic
 from .generators import generate, parse_family_spec
-from .graph import Graph, format_edgelist, graph_closeness, parse_edgelist, to_dot
+from .graph import Graph, _parse_int, format_edgelist, graph_closeness, parse_edgelist, to_dot
 from .transforms import bridge_join, coalesce_join, line_graph, shadow
 from .verify import (
     DEFAULT_SEED,
@@ -207,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bridge-join", "coalesce"):
         q = ops.add_parser(name, help=f"{name} two graphs at chosen vertices")
         q.add_argument("-i", "--input", required=True, help="left graph file")
-        q.add_argument("-p", type=int, required=True, help="left attachment vertex")
+        q.add_argument("-p", type=_parse_int, required=True, help="left attachment vertex")
         q.add_argument("-j", "--join-input", required=True, help="right graph file")
-        q.add_argument("-q", type=int, required=True, help="right attachment vertex")
+        q.add_argument("-q", type=_parse_int, required=True, help="right attachment vertex")
         q.add_argument("-o", "--output", required=True)
         q.add_argument("-f", "--format", choices=["edgelist", "dot"], default="edgelist")
         q.set_defaults(func=_cmd_transform)
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every sweep (the default)")
     p.add_argument("--family", help="restrict to one family's sweeps")
     p.add_argument("--window", default="default", help='e.g. "basic=32,pairs=50"')
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
     p.add_argument(
         "--experiment-min-degree",
         action="store_true",

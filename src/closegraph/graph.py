@@ -377,17 +377,15 @@ def _balls(adj: list[list[int]]) -> list[list[int]]:
     return balls
 
 
-def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
+def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
     """Closeness sums from chosen sources after one deletion, for many
     deletions at once, by one bitset BFS on the adjacency lists adj.
 
-    edits is a list of (cut, sources, inside): cut is a vertex x or an
-    edge (u, v) of adj, sources a list of distinct vertices other than x,
-    and inside whether the edit needs its inside sum. Returns (totals,
-    insides), per edit an integer over 2**top with top = max(n - 1, 0):
-    the total is the sum over s in sources and every t != s of
-    2**-d(s, t) in adj without the cut; the inside is the part of it with
-    t in sources too, or 0 for an edit that does not need it.
+    edits is a list of (cut, sources): cut is a vertex x or an edge
+    (u, v) of adj, and sources a list of distinct vertices other than x.
+    Returns per edit an integer over 2**top with top = max(n - 1, 0): the
+    sum over s in sources and every t != s of 2**-d(s, t) in adj without
+    the cut.
 
     Each bit is a lane, one (edit, source) pair; an edit's lanes are
     contiguous, in the order of edits, and run through _levels in blocks
@@ -407,8 +405,8 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
     top = max(n - 1, 0)
     low = n.bit_length()  # a lane is new at fewer than 2**low vertices per level
     height = top + low + 1  # a lane's sum is below n * 2**top
-    lanes = [(e, s) for e, (_, sources, _) in enumerate(edits) for s in sources]
-    sums = ([0] * len(edits), [0] * len(edits))
+    lanes = [(e, s) for e, (_, sources) in enumerate(edits) for s in sources]
+    sums = [0] * len(edits)
     if not lanes:
         return sums
     width = _width(n)
@@ -423,29 +421,24 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
             unseen[s] ^= bit
             start[s] |= bit
             owned[e] = owned.get(e, 0) | bit
-        # gates[u, v]: the lanes that may cross a cut edge from u to v;
-        # inner[t]: the lanes of the edits that need their inside sum and
-        # whose sources hold t
+        # gates[u, v]: the lanes that may cross a cut edge from u to v
         gates: dict[tuple[int, int], int] = {}
-        inner = [0] * n
         for e, mine in owned.items():
-            cut, sources, inside = edits[e]
+            cut = edits[e][0]
             if isinstance(cut, tuple):
                 for u, v in (cut, cut[::-1]):
                     gates[u, v] = gates.get((u, v), full) ^ mine
             else:
                 unseen[cut] &= ~mine
-            if inside:
-                for t in sources:
-                    inner[t] |= mine
         scan = list(adj)  # adj without the cut edges, which cross by gates
         for u in {u for u, _ in gates}:
             scan[u] = [w for w in adj[u] if (u, w) not in gates]
-        planes = ([0] * height, [0] * height)  # totals, insides
+        acc = [0] * height  # the planes of the lane sums
         frontier = [(s, bits) for s, bits in enumerate(start) if bits]
         for k, level in enumerate(_levels(scan, frontier, unseen, gates), 1):
-            counts = ([0] * low, [0] * low)  # this level's, totals and insides
-            count, count_inside = counts
+            if not level:
+                break  # the last, past every lane's eccentricity
+            count = [0] * low  # this level's
             for v, new in level:
                 p, c = 0, new
                 while c:
@@ -453,31 +446,21 @@ def _deletion_sums(adj: list[list[int]], edits) -> tuple[list[int], list[int]]:
                     count[p] = q ^ c
                     c &= q
                     p += 1
-                p, c = 0, new & inner[v]
-                while c:
-                    q = count_inside[p]
-                    count_inside[p] = q ^ c
-                    c &= q
-                    p += 1
-            for acc, added in zip(planes, counts):
-                if not any(added):
-                    continue
-                p, c = top - k, 0
-                for x in added:  # ripple-carry add from plane top - k on
-                    q = acc[p]
-                    half = q ^ x
-                    acc[p] = half ^ c
-                    c = (q & x) | (half & c)
-                    p += 1
-                while c:
-                    q = acc[p]
-                    acc[p] = q ^ c
-                    c &= q
-                    p += 1
-        for acc, out in zip(planes, sums):
-            weighted = [(p, plane) for p, plane in enumerate(acc) if plane]
-            for e, mine in owned.items():
-                out[e] += sum((plane & mine).bit_count() << p for p, plane in weighted)
+            p, c = top - k, 0
+            for x in count:  # ripple-carry add from plane top - k on
+                q = acc[p]
+                half = q ^ x
+                acc[p] = half ^ c
+                c = (q & x) | (half & c)
+                p += 1
+            while c:
+                q = acc[p]
+                acc[p] = q ^ c
+                c &= q
+                p += 1
+        weighted = [(p, plane) for p, plane in enumerate(acc) if plane]
+        for e, mine in owned.items():
+            sums[e] += sum((plane & mine).bit_count() << p for p, plane in weighted)
     return sums
 
 

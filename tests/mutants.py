@@ -86,8 +86,8 @@ MUTANTS = (
     ),
     Mutant(
         "ripple-add-without-carry-in", GRAPH,
-        "                    acc[p] = half ^ c\n",
-        "                    acc[p] = half\n",
+        "                acc[p] = half ^ c\n",
+        "                acc[p] = half\n",
         (f"{KERNEL_TESTS}::test_deletion_sums_match_the_kernel_on_each_cut_adjacency",),
     ),
     # the edge-list reader and DOT output
@@ -199,6 +199,29 @@ MUTANTS = (
         "                only[y, v] = mine & ~twice\n",
         "                only[y, v] = mine\n",
         (f"{VULN_TESTS}::test_bitset_rests_match_the_distance_rows",),
+    ),
+    # the deletion losses: a rest spanning two entry groups reruns every
+    # hit source, counted once; the terms of a deleted vertex come off
+    Mutant(
+        "spanning-rest-rerun-alone", VULNERABILITY,
+        "        return hit, True\n",
+        "        return rest, False\n",
+        (f"{VULN_TESTS}::test_every_deletion_total_matches_the_rescanned_total",
+         f"{VULN_TESTS}::test_matches_exhaustive_search_with_many_entry_groups"),
+    ),
+    Mutant(
+        "whole-hit-set-counted-twice", VULNERABILITY,
+        "(1 if whole else 2) * loss",
+        "2 * loss",
+        (f"{VULN_TESTS}::test_every_deletion_total_matches_the_rescanned_total",
+         f"{VULN_TESTS}::test_matches_exhaustive_search"),
+    ),
+    Mutant(
+        "vertex-terms-left-in-the-rest", VULNERABILITY,
+        "                loss -= self._within(cut, rest)\n",
+        "",
+        (f"{VULN_TESTS}::test_every_deletion_total_matches_the_rescanned_total",
+         f"{VULN_TESTS}::test_matches_exhaustive_search"),
     ),
     Mutant(
         "gain-counts-the-old-ball", VULNERABILITY,

@@ -311,6 +311,30 @@ def test_bridge_join_bad_index_exit_2(tmp_path, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("text", ["+0", "\u0660", "0_0"])
+@pytest.mark.parametrize(
+    "command, option",
+    [("bridge-join", "-p"), ("bridge-join", "-q"), ("coalesce", "-p"), ("coalesce", "-q"),
+     ("verify", "--seed")],
+)
+def test_integer_options_take_only_ascii_digits(tmp_path, capsys, command, option, text):
+    """-p, -q and --seed follow the rule of every integer given as text:
+    ASCII digits with an optional '-'. argparse exits 2 on any other
+    text before anything runs."""
+    if command == "verify":
+        argv = ["verify", "--window", "basic=3", "--seed", text, "-o", str(tmp_path)]
+    else:
+        graph_file = str(DATA / "lollipop4_3.edges")
+        ends = {"-p": "0", "-q": "0", option: text}
+        argv = ["transform", command, "-i", graph_file, "-p", ends["-p"],
+                "-j", graph_file, "-q", ends["-q"], "-o", str(tmp_path / "x.edges")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def _bounded_run(capsys, *argv):
     """Run the CLI, returning its exit code, stderr, tracemalloc peak and wall time."""
     tracemalloc.start()

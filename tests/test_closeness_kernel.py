@@ -164,20 +164,17 @@ def _cut_adjacency(adj, cut):
 
 def _reference_deletion_sums(adj, edits):
     top = max(len(adj) - 1, 0)
-    totals, insides = [], []
-    for cut, sources, inside in edits:
+    totals = []
+    for cut, sources in edits:
         num, depth = graph._closeness_sums(_cut_adjacency(adj, cut), sources)
-        new = [c << (top - d) for c, d in zip(num, depth)]
-        totals.append(sum(new))
-        insides.append(sum(new[t] for t in sources) if inside else 0)
-    return totals, insides
+        totals.append(sum(c << (top - d) for c, d in zip(num, depth)))
+    return totals
 
 
 @st.composite
 def graph_with_deletions(draw):
     """A graph (often disconnected) and up to six deletions of one vertex
-    or one edge, each with any set of sources other than the vertex, and
-    each with or without its inside sum."""
+    or one edge, each with any set of sources other than the vertex."""
     g = draw(shuffled(st.one_of(any_graph(), tree(), cycle(), complete_minus_edge(),
                                 spider(), theta(), even_cycle_with_chord())))
     edges = list(g.edges())
@@ -192,7 +189,7 @@ def graph_with_deletions(draw):
         else:
             break
         sources = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
-        edits.append((cut, sources, draw(st.booleans())))
+        edits.append((cut, sources))
     return g, edits
 
 
@@ -215,11 +212,10 @@ def test_deletion_sums_match_the_kernel_on_each_cut_adjacency(block, case):
 def test_deletion_sums_on_a_long_path_across_blocks():
     """Lane sums that carry through many planes: every vertex of a
     130-vertex path deleted in turn, with all other vertices as sources,
-    in blocks of 64 lanes; the inside sums of every other edit."""
+    in blocks of 64 lanes."""
     g = generate(FamilySpec("path", 130))
-    edits = [(x, [v for v in range(g.order) if v != x], x % 2 == 0)
-             for x in range(0, g.order, 7)]
-    edits += [((u, u + 1), list(range(u + 1)), u % 2 == 0) for u in range(0, g.order - 1, 9)]
+    edits = [(x, [v for v in range(g.order) if v != x]) for x in range(0, g.order, 7)]
+    edits += [((u, u + 1), list(range(u + 1))) for u in range(0, g.order - 1, 9)]
     want = _reference_deletion_sums(g.adj, edits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK", 64)
@@ -231,7 +227,7 @@ def test_deletion_sums_without_sources_build_nothing(monkeypatch):
     """Edits with no sources add no lane, so no block is set up."""
     monkeypatch.setattr(graph, "_width", lambda n: pytest.fail("a block was set up"))
     g = generate(FamilySpec("complete", 5))
-    assert graph._deletion_sums(g.adj, [(0, [], True), ((1, 2), [], True)]) == ([0, 0], [0, 0])
+    assert graph._deletion_sums(g.adj, [(0, []), ((1, 2), [])]) == [0, 0]
 
 
 # -- the two directions of _levels: each traversal pushes and pulls ------------
@@ -289,7 +285,7 @@ def test_balls_of_a_path_beside_a_clique_push(monkeypatch):
 
 
 def test_deletion_lanes_of_one_source_on_a_long_path_push(monkeypatch):
-    edits = [(20, [0], True), ((5, 6), [0], False), (39, [0, 1], True)]
+    edits = [(20, [0]), ((5, 6), [0]), (39, [0, 1])]
     want = _reference_deletion_sums(LONG_PATH.adj, edits)
     taken = _directions(monkeypatch)
     got = graph._deletion_sums(LONG_PATH.adj, edits)
@@ -319,8 +315,8 @@ def test_deletion_lanes_on_a_theta_pull(monkeypatch):
     """Every vertex and every edge of a theta deleted in turn, with all
     other vertices as sources: the cut edges' lanes cross by gates."""
     g = _theta(2, 3, 4)
-    edits = [(x, [v for v in range(g.order) if v != x], x % 2 == 0) for x in range(g.order)]
-    edits += [(e, list(range(g.order)), i % 2 == 0) for i, e in enumerate(g.edges())]
+    edits = [(x, [v for v in range(g.order) if v != x]) for x in range(g.order)]
+    edits += [(e, list(range(g.order))) for e in g.edges()]
     want = _reference_deletion_sums(g.adj, edits)
     taken = _directions(monkeypatch)
     got = graph._deletion_sums(g.adj, edits)

@@ -127,20 +127,25 @@ def edge_rest(g: Graph, dist, u: int, v: int) -> list[int]:
     return min(sides, key=len)
 
 
-def vertex_rest(g: Graph, dist, x: int) -> tuple[list[int], list[list[int]]]:
-    """The hit sources of deleting the vertex x that are rerun, and the
-    entry groups of all hit sources, one per neighbour w of x: the hit
-    sources for which w is one level nearer than x. A source other than x
-    is hit when x is the only parent of some neighbour of x; the rest is
-    every hit source outside the largest group (the first on ties)."""
+def vertex_rest(g: Graph, dist, x: int) -> tuple[list[int], bool]:
+    """The hit sources of deleting the vertex x that are rerun, and whether
+    they are all of them. A source other than x is hit when x is the only
+    parent of some neighbour of x. The entry groups, one per neighbour w
+    of x, hold the hit sources for which w is one level nearer than x.
+    The rest is every hit source outside the largest group (the first on
+    ties) when it is empty or one group holds it, and every hit source
+    otherwise."""
     hit = [
         s for s, row in enumerate(dist)
         if s != x and row[x] <= g.order
         and any(row[w] == row[x] + 1 and _only_parent(g, row, x, w) for w in g.adj[x])
     ]
-    groups = [[s for s in hit if dist[s][w] < dist[s][x]] for w in g.adj[x]]
-    largest = max(groups, key=len, default=[])
-    return [s for s in hit if s not in largest], groups
+    groups = [{s for s in hit if dist[s][w] < dist[s][x]} for w in g.adj[x]]
+    largest = max(groups, key=len, default=set())
+    rest = [s for s in hit if s not in largest]
+    if not rest or any(set(rest) <= group for group in groups):
+        return rest, False
+    return hit, True
 
 
 def bound_with_edge(g: Graph, dist, u: int, v: int) -> int:
