@@ -34,6 +34,12 @@ def _approx(d: Dyadic) -> str:
     return f"{float(d):g}"
 
 
+def integer(text: str) -> int:
+    """An integer option's value, by graph._parse_int; argparse names the
+    type in its error by this function's name."""
+    return _parse_int(text)
+
+
 def _load_graph(path: str) -> Graph:
     return parse_edgelist(Path(path).read_text())
 
@@ -207,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bridge-join", "coalesce"):
         q = ops.add_parser(name, help=f"{name} two graphs at chosen vertices")
         q.add_argument("-i", "--input", required=True, help="left graph file")
-        q.add_argument("-p", type=_parse_int, required=True, help="left attachment vertex")
+        q.add_argument("-p", type=integer, required=True, help="left attachment vertex")
         q.add_argument("-j", "--join-input", required=True, help="right graph file")
-        q.add_argument("-q", type=_parse_int, required=True, help="right attachment vertex")
+        q.add_argument("-q", type=integer, required=True, help="right attachment vertex")
         q.add_argument("-o", "--output", required=True)
         q.add_argument("-f", "--format", choices=["edgelist", "dot"], default="edgelist")
         q.set_defaults(func=_cmd_transform)
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every sweep (the default)")
     p.add_argument("--family", help="restrict to one family's sweeps")
     p.add_argument("--window", default="default", help='e.g. "basic=32,pairs=50"')
-    p.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     p.add_argument(
         "--experiment-min-degree",
         action="store_true",

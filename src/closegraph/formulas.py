@@ -28,7 +28,6 @@ __all__ = [
     "shadow_closeness",
     "path_leaf_closeness",
     "complete_vertex_closeness",
-    "star_center_closeness",
     "star_leaf_closeness",
     "cycle_vertex_closeness",
 ]
@@ -214,9 +213,6 @@ def complete_vertex_closeness(m: int) -> Dyadic:
     """Closeness of any vertex of K_m, and of the center of S_m (m total
     vertices), which has the same m-1 neighbours: (m-1)/2."""
     return Dyadic(m - 1, 1)
-
-
-star_center_closeness = complete_vertex_closeness
 
 
 def star_leaf_closeness(m: int) -> Dyadic:

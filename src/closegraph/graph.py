@@ -36,7 +36,7 @@ UNREACHABLE = -1
 MAX_ORDER = 100_000
 
 # Bits per block of the bitset BFS traversals that run on _levels,
-# _closeness_sums (a bit per source) and _deletion_sums (a bit per lane): a
+# _source_levels (a bit per source) and _deletion_sums (a bit per lane): a
 # block is _width(n) = max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge
 # scan is shared by all of a block's bits, so wider blocks mean fewer
 # scans; each vertex-indexed list of block bitsets then holds about
@@ -309,51 +309,19 @@ def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None, cover
         yield frontier
 
 
-def _source_levels(adj: list[list[int]], sources, cover=None):
-    """Per block of _width(n) sources, one bit each, the run of _levels
-    from them: the bits new at v on level k are the block's sources at
-    distance k from v. sources is a sequence (a range or a list) of
-    distinct vertices."""
-    n = len(adj)
+def _source_levels(g: Graph):
+    """Per block of _width(n) vertices of g, the run of _levels over g.adj
+    and g._cover from them as sources, one bit each: the bits new at v on
+    level k are the block's sources at distance k from v."""
+    n = g.order
     width = _width(n)
-    for lo in range(0, len(sources), width):
-        block = sources[lo : lo + width]
+    for lo in range(0, n, width):
+        block = range(lo, min(lo + width, n))
         unseen = [(1 << len(block)) - 1] * n
         frontier = [(s, 1 << i) for i, s in enumerate(block)]
         for s, bit in frontier:
             unseen[s] ^= bit
-        yield _levels(adj, frontier, unseen, cover=cover)
-
-
-def _closeness_sums(adj: list[list[int]], sources, cover=None) -> tuple[list[int], list[int]]:
-    """Per vertex v, the sum over s in sources of 2**-d(s, v), by
-    multi-source BFS on the adjacency lists adj (and their cover, if
-    given), in the blocks of _source_levels.
-
-    Returns (num, depth): v's sum is num[v] / 2**depth[v]. The count of
-    the bits new at v on level k is the number of the block's sources at
-    distance k. Within a block, v's numerator is kept by lazy Horner over
-    2**(last level that reached v); blocks are combined by shifting to
-    the deeper of the two.
-    """
-    n = len(adj)
-    num = [0] * n
-    depth = [0] * n
-    for levels in _source_levels(adj, sources, cover):
-        block_num = [0] * n
-        last = [0] * n
-        for k, level in enumerate(levels, 1):
-            for v, new in level:
-                block_num[v] = (block_num[v] << (k - last[v])) + new.bit_count()
-                last[v] = k
-        for v in range(n):
-            shift = last[v] - depth[v]
-            if shift > 0:
-                num[v] = (num[v] << shift) + block_num[v]
-                depth[v] = last[v]
-            else:
-                num[v] += block_num[v] << -shift
-    return num, depth
+        yield _levels(g.adj, frontier, unseen, cover=g._cover)
 
 
 def _balls(adj: list[list[int]]) -> list[list[int]]:
@@ -466,9 +434,24 @@ def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
 
 def graph_closeness(g: Graph) -> ClosenessReport:
     """Per-vertex closenesses and the graph total, by multi-source BFS
-    from every vertex (distance is symmetric, so v's sum over all
-    sources is the closeness of v)."""
-    num, depth = _closeness_sums(g.adj, range(g.order), g._cover)
+    from every vertex (_source_levels): by symmetry, the bits new at v on
+    level k count the vertices at distance k from v. v's closeness is
+    num[v] / 2**depth[v], depth[v] its deepest level so far: a deeper
+    level shifts num[v] up to it and adds its count (Horner's rule); a
+    level no deeper, which only a later block brings, adds its count
+    shifted up to depth[v]."""
+    n = g.order
+    num = [0] * n
+    depth = [0] * n
+    for levels in _source_levels(g):
+        for k, level in enumerate(levels, 1):
+            for v, new in level:
+                d = depth[v]
+                if k > d:
+                    num[v] = (num[v] << (k - d)) + new.bit_count()
+                    depth[v] = k
+                else:
+                    num[v] += new.bit_count() << (d - k)
     deepest = max(depth, default=0)
     total = sum(c << (deepest - d) for c, d in zip(num, depth))
     return ClosenessReport(
@@ -479,12 +462,12 @@ def graph_closeness(g: Graph) -> ClosenessReport:
 
 def _total_closeness(g: Graph) -> Dyadic:
     """graph_closeness(g).total, read off level counts: the bits new on
-    level k of _source_levels from every vertex are the ordered pairs at
-    distance k, so with c_k of them the total is the sum of c_k * 2**-k.
-    No per-vertex sum is kept."""
+    level k of _source_levels are the ordered pairs at distance k, so
+    with c_k of them the total is the sum of c_k * 2**-k. No per-vertex
+    sum is kept."""
     total = Dyadic(0)
     new_bits = operator.itemgetter(1)
-    for levels in _source_levels(g.adj, range(g.order), g._cover):
+    for levels in _source_levels(g):
         counts = [sum(map(int.bit_count, map(new_bits, level))) for level in levels]
         deepest = len(counts)
         total += Dyadic(sum(c << (deepest - k) for k, c in enumerate(counts, 1)), deepest)

@@ -47,7 +47,6 @@ from .formulas import (
     cycle_vertex_closeness,
     path_leaf_closeness,
     shadow_closeness,
-    star_center_closeness,
 )
 from .generators import (
     COMPOSITE_PARTS,
@@ -293,11 +292,12 @@ def _rule_random(idx: int, seed: int, max_order: int):
     ]
 
 
-# closeness of vertex 0 of a composite part (a star's vertex 0 is its center)
+# closeness of vertex 0 of a composite part; a star's vertex 0 is its
+# center, which has the same m-1 neighbours as a vertex of K_m
 _VERTEX_0_CLOSENESS = {
     "complete": complete_vertex_closeness,
     "cycle": cycle_vertex_closeness,
-    "star": star_center_closeness,
+    "star": complete_vertex_closeness,
     "path": path_leaf_closeness,
 }
 

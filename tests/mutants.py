@@ -58,7 +58,7 @@ MUTANTS = (
         "pull-only", GRAPH,
         "    return pull <= push\n",
         "    return True\n",
-        (f"{KERNEL_TESTS}::test_one_source_on_a_long_path_pushes",),
+        (f"{KERNEL_TESTS}::test_deletion_lanes_of_one_source_on_a_long_path_push",),
     ),
     Mutant(
         "pull-without-gate-bits", GRAPH,
@@ -77,6 +77,12 @@ MUTANTS = (
         "                pull -= cost[v]\n",
         "                pull -= 0\n",
         (f"{KERNEL_TESTS}::test_balls_pull", f"{KERNEL_TESTS}::test_all_sources_pull"),
+    ),
+    Mutant(
+        "later-block-added-unshifted", GRAPH,
+        "num[v] += new.bit_count() << (d - k)",
+        "num[v] += new.bit_count()",
+        (f"{KERNEL_TESTS}::test_matches_reference_on_multi_block_graphs",),
     ),
     Mutant(
         "balls-seeded-without-own-bit", GRAPH,

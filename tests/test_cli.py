@@ -100,14 +100,23 @@ def test_closeness_json_escapes_labels_as_json_dumps():
     assert text == json.dumps(_closeness_payload(g, True), indent=2)
 
 
-@pytest.mark.parametrize("stem", ["path60_chords6_seed0", "rand60_m240_seed0"])
-def test_closeness_json_pinned(capsys, stem):
-    """`closeness --per-vertex --format json` on a long-diameter and a
-    short-diameter graph prints exactly the text committed beside each."""
+@pytest.mark.parametrize(
+    "stem, fmt, suffix",
+    [
+        # the json cases keep the ids they had before csv and text were pinned
+        pytest.param(stem, fmt, suffix, id=stem if fmt == "json" else f"{stem}-{fmt}")
+        for fmt, suffix in [("json", "json"), ("csv", "csv"), ("text", "txt")]
+        for stem in ["path60_chords6_seed0", "rand60_m240_seed0"]
+    ],
+)
+def test_closeness_json_pinned(capsys, stem, fmt, suffix):
+    """`closeness --per-vertex` on a long-diameter and a short-diameter
+    graph prints exactly the text committed beside each, in json, csv
+    and text."""
     code, out, _ = run(capsys, "closeness", "-i", str(DATA / f"{stem}.edges"),
-                       "--per-vertex", "--format", "json")
+                       "--per-vertex", "--format", fmt)
     assert code == 0
-    assert out == (DATA / f"{stem}.closeness.json").read_text()
+    assert out == (DATA / f"{stem}.closeness.{suffix}").read_text()
 
 
 def test_closeness_csv(tmp_path, capsys):
@@ -331,7 +340,9 @@ def test_integer_options_take_only_ascii_digits(tmp_path, capsys, command, optio
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"argument {option}: invalid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid integer value" in err
+    assert "_parse_int" not in err
     assert not any(tmp_path.iterdir())
 
 

@@ -1,7 +1,7 @@
 """The bitset BFS traversals against their references: the multi-source
 kernel against the per-source BFS, the balls against balls read off
 per-source BFS distances, and the lane-parallel deletion sums against
-the kernel run on each explicitly cut adjacency; line graphs read through
+the per-source BFS on each explicitly cut graph; line graphs read through
 their clique cover against their plain adjacency; and the totals read off
 level counts against the per-vertex kernel."""
 
@@ -107,24 +107,6 @@ def test_one_wide_block_matches_per_vertex():
     assert_matches_reference(g)
 
 
-@pytest.mark.parametrize("block", [1, 3, 1024])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_source_subset_sums_to_their_closenesses(block, data):
-    """From a subset S of the vertices, the kernel's per-vertex sums add
-    up to the sum over S of C(s), whatever the block size."""
-    g = data.draw(ANY_SMALL_GRAPH)
-    sources = data.draw(st.lists(st.sampled_from(range(g.order)), unique=True)) if g.order else []
-    per = closeness_reference.graph_closeness(g).per_vertex
-    want = sum((per[s] for s in sources), Dyadic(0))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_BLOCK", block)
-        mp.setattr(graph, "_BLOCK_BITS", 0)
-        num, depth = graph._closeness_sums(g.adj, sources)
-    got = sum((Dyadic(c, d) for c, d in zip(num, depth)), Dyadic(0))
-    assert got == want, (g.order, list(g.edges()), sources)
-
-
 # -- the balls: per vertex, the vertices within each distance ------------------
 
 def _reference_balls(g):
@@ -146,8 +128,8 @@ def test_balls_match_the_bfs_distances(g):
     assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
 
 
-# -- the deletion sums: one lane per (edit, source), against the kernel on
-# each cut adjacency -----------------------------------------------------------
+# -- the deletion sums: one lane per (edit, source), against the per-source
+# BFS on each cut graph ---------------------------------------------------------
 
 def _cut_adjacency(adj, cut):
     cut_adj = [list(nbrs) for nbrs in adj]
@@ -163,11 +145,15 @@ def _cut_adjacency(adj, cut):
 
 
 def _reference_deletion_sums(adj, edits):
-    top = max(len(adj) - 1, 0)
+    """Per edit, the sum of vertex_closeness over its sources on the graph
+    less its cut, as a numerator over 2**top, top = max(n - 1, 0)."""
+    n = len(adj)
+    top = max(n - 1, 0)
     totals = []
     for cut, sources in edits:
-        num, depth = graph._closeness_sums(_cut_adjacency(adj, cut), sources)
-        totals.append(sum(c << (top - d) for c, d in zip(num, depth)))
+        g = Graph(n, _cut_adjacency(adj, cut), [str(v) for v in range(n)])
+        total = sum((graph.vertex_closeness(g, s) for s in sources), Dyadic(0))
+        totals.append(total.numerator << (top - total.exponent))
     return totals
 
 
@@ -241,16 +227,6 @@ def _directions(monkeypatch):
     return taken
 
 
-def _reference_sums(g, sources):
-    """Per vertex v, the sum over s in sources of 2**-d(s, v)."""
-    sums = [Dyadic(0)] * g.order
-    for s in sources:
-        for v, d in enumerate(bfs_distances(g, s)):
-            if d > 0:
-                sums[v] = sums[v] + Dyadic(1, d)
-    return sums
-
-
 def _theta(*lengths):
     """Paths of the given numbers of edges between vertices 0 and 1."""
     order, edges = 2, []
@@ -267,14 +243,6 @@ DENSE = gen_random_connected(24, 200, seed=3)
 # so they keep the pull count high while the frontier runs along the path
 PATH_AND_CLIQUE = build(42, [(i, i + 1) for i in range(29)]
                         + list(itertools.combinations(range(30, 42), 2)))
-
-
-def test_one_source_on_a_long_path_pushes(monkeypatch):
-    taken = _directions(monkeypatch)
-    num, depth = graph._closeness_sums(LONG_PATH.adj, [0])
-    # the last levels reach the far end, where one vertex or none pulls
-    assert taken[:-2] == [False] * (len(taken) - 2) and len(taken) == 40
-    assert [Dyadic(c, d) for c, d in zip(num, depth)] == _reference_sums(LONG_PATH, [0])
 
 
 def test_balls_of_a_path_beside_a_clique_push(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from closegraph import formulas
 from closegraph.dyadic import Dyadic
 from closegraph.formulas import (
     bridged_line,
@@ -14,7 +15,6 @@ from closegraph.formulas import (
     cycle_vertex_closeness,
     path_leaf_closeness,
     shadow_closeness,
-    star_center_closeness,
     star_leaf_closeness,
 )
 from closegraph.generators import FamilySpec, generate
@@ -198,12 +198,19 @@ def test_vertex_closed_forms_match_oracle():
         )
     for m in (2, 4, 7):
         g = generate(spec("star", m))
-        assert star_center_closeness(m) == vertex_closeness(g, 0)
+        assert complete_vertex_closeness(m) == vertex_closeness(g, 0)  # the center
         assert star_leaf_closeness(m) == vertex_closeness(g, 1)
     for m in (3, 4, 7, 8):
         assert cycle_vertex_closeness(m) == vertex_closeness(
             generate(spec("cycle", m)), 0
         )
+
+
+def test_exported_names_are_distinct_objects():
+    """No name in formulas.__all__ aliases another, so wrapping each
+    exported function wraps it once."""
+    exported = [getattr(formulas, name) for name in formulas.__all__]
+    assert len(set(map(id, exported))) == len(exported)
 
 
 # --- composite forms decompose into part values --------------------------------
@@ -221,12 +228,12 @@ def test_composites_rebuild_from_parts():
             )
             assert closed_form(spec("broom", m, n)) == compose_bridge(
                 closed_form(spec("star", m)), closed_form(spec("path", n)),
-                star_center_closeness(m), path_leaf_closeness(n),
+                complete_vertex_closeness(m), path_leaf_closeness(n),
             )
             if n >= 3:
                 assert closed_form(spec("bistar", m, n)) == compose_bridge(
                     closed_form(spec("star", m)), closed_form(spec("star", n)),
-                    star_center_closeness(m), star_center_closeness(n),
+                    complete_vertex_closeness(m), complete_vertex_closeness(n),
                 )
 
 
