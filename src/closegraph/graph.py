@@ -12,6 +12,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .dyadic import Dyadic
 
@@ -39,10 +40,12 @@ MAX_ORDER = 100_000
 # _source_levels (a bit per source) and _deletion_sums (a bit per lane): a
 # block is _width(n) = max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge
 # scan is shared by all of a block's bits, so wider blocks mean fewer
-# scans; each vertex-indexed list of block bitsets then holds about
-# n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB. Graphs up to n = 5792
-# run all their sources as one block; from n = 32768 on, blocks are _BLOCK
-# wide and a list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
+# scans; a list of balls, one block bitset per vertex, then holds about
+# n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB, and _levels holds at most
+# three: the balls before a level, after it and being built. Graphs up to
+# n = 5792 run all their sources as one block; from n = 32768 on, blocks
+# are _BLOCK wide and a list takes n * _BLOCK / 8 bytes (about 12 MiB at
+# MAX_ORDER).
 _BLOCK = 1024
 _BLOCK_BITS = 1 << 25
 
@@ -70,10 +73,11 @@ class Graph:
 
     _cover is None or a clique cover of part of adj that the closeness
     kernel pulls through (_levels), set only by transforms.line_graph:
-    (cliques, hubs, scan), where cliques[c] lists clique c's members,
-    hubs[v] holds order + c for each clique c of v, and scan[v] is v's
-    neighbours outside its cliques, sorted, then hubs[v]. Equality, edges
-    and output ignore it.
+    (cliques, scan), where cliques[c] lists clique c's members and
+    scan[v] is v's neighbours outside its cliques, sorted, then the hub
+    order + c of each clique c of v. On a pull, hub order + c holds the
+    OR of clique c's members' balls, so scan[v] reaches every neighbour
+    of v. Equality, edges and output ignore it.
     """
 
     __slots__ = ("order", "adj", "labels", "_cover", "__weakref__")
@@ -202,126 +206,118 @@ def _pulls(push: int, pull: int) -> bool:
     return pull <= push
 
 
-def _levels(adj: list[list[int]], frontier, unseen: list[int], gates=None, cover=None):
+def _levels(adj: list[list[int]], ball: list[int], full: int, keep=None, gates=None, cover=None):
     """The level loop of the bitset BFS traversals below (multi-source
     bit-parallel BFS; Then et al., PVLDB 2014), one bit per BFS.
 
-    adj is symmetric. frontier holds (v, bits) for the bits that start at
-    v and unseen[v] the bits that have not reached v; the caller seeds
-    both, and unseen is updated in place. Each level ORs the frontier's
-    bits into their neighbours and yields the next frontier: (v, new) per
-    vertex v that new bits first reach, so the k-th holds the bits at
-    distance k from v. gates, if given, maps edges (u, w) that adj leaves
-    out to the bits that may cross them from u to w. cover, if given, is
-    a clique cover of adj (Graph._cover) that pulls read through.
+    adj is symmetric, ball[v] holds the bits that start at v, as the
+    caller seeds them, and full every bit. Level k builds the next balls,
+    each vertex's own ORed with its neighbours', so that ball[v] holds
+    the bits within distance k of v, and yields (old, ball, grown): the
+    balls before and after it and the vertices whose ball grew, so that
+    ball[v] ^ old[v] are the bits at distance k from v. keep, if given,
+    maps a vertex to the only bits its ball may hold, so that it never
+    forwards the others; gates maps edges (u, w) that adj leaves out to
+    the bits that may cross them from u to w; cover is a clique cover of
+    adj (Graph._cover) that pulls read through.
+
+    A vertex is pending until its ball holds every bit it may (full, or
+    its keep mask), not merely until its ball stops growing: a block may
+    hold sources at distances 1 and 3 from it and none at 2. The loop
+    ends on the first level on which no ball grows, unyielded.
 
     A level goes in one of two directions (direction-optimizing BFS;
     Beamer, Asanovic & Patterson, SC 2012), whichever scans fewer entries,
-    by _pulls: push ORs each frontier vertex's bits into its neighbours,
-    scanning the frontier's degrees; pull ORs, for each vertex with unseen
-    bits, its neighbours' frontier bits into one local, scanning those
-    vertices' degrees. Both counts are kept exact, from the frontier and
-    as vertices see all their bits. Gates cross by push in both directions.
+    by _pulls: push ORs each grown vertex's new bits, ball ^ old, into
+    its neighbours, scanning the grown vertices' degrees; pull ORs, for
+    each pending vertex, its neighbours' balls into its own, scanning
+    those vertices' degrees. Both counts are exact: a plain pull keeps
+    them as it goes, the push count as the degrees of the vertices not
+    done less those that do not grow; after gates (ball[u] & open crosses
+    (u, w)), keep masks or a push, they are counted afresh.
 
-    With a cover, a pull first ORs each frontier vertex's bits into the
-    hub int of each of its cliques, at[order + c], and each vertex then
-    scans cover's scan list, reading its cliques' members as one int
-    each. A clique of q members costs 2q entries a level instead of
-    q(q - 1), fewer once q >= 4, and the pull count includes the hub
-    writes. Pushes scan adj: f frontier members of a clique cost f(q - 1)
-    entries there against f + q by hub, and line graphs mostly pull.
-
-    at[v] holds the bits last new at v, which pull and the gates read as
-    v's frontier bits. It is never cleared, and hub ints only gain bits:
-    bits new at v on an earlier level crossed every edge out of v on the
-    level after, so a stale entry adds nothing new. So the work outside
-    the scans is proportional to the frontier, or to the vertices pulled.
+    With a cover, a pull first ORs each clique's members' balls into one
+    hub int, at[order + c], and each pending vertex then scans its scan
+    list, reading each of its cliques as one int. A clique of q members
+    costs about 2q entries a level (q to build its hub, about q to read
+    it) instead of q(q - 1), fewer once q >= 4, and the pull count
+    includes the hub builds. Pushes scan adj: f grown members of a clique
+    cost f(q - 1) entries there, and line graphs mostly pull.
     """
+    n = len(adj)
     degree = list(map(len, adj))  # entries a push scans
     cost, scan = degree, adj  # entries a pull scans, and the lists it scans
-    at = [0] * len(adj)
+    hub_cost = 0
     if cover:
-        cliques, hubs, scan = cover
+        cliques, scan = cover
         cost = list(map(len, scan))
-        # so that _pulls weighs the pull's scans and hub writes against the push
-        degree = [d - len(h) for d, h in zip(degree, hubs)]
-        at += [0] * len(cliques)
-    # the vertices that may still pull new bits; gate ends pull through
-    # their gates even without adjacency
-    ends = {w for _, w in gates} if gates else ()
-    pending = [v for v, x in enumerate(unseen) if x and (cost[v] or v in ends)]
-    pull = sum([cost[v] for v in pending])
-    finished = False  # whether a pending vertex has seen all its bits since pending was built
-    push = sum([degree[u] for u, _ in frontier])
-    for u, bits in frontier:
-        at[u] = bits
-    reach = [0] * len(adj)  # bits reaching each vertex on a level, by push or gate
-    while frontier:
-        touched = []
-        if gates:
-            for (u, w), open_bits in gates.items():
-                bits = at[u] & open_bits
-                if bits:
-                    x = reach[w]
-                    if not x:
-                        touched.append(w)
-                    reach[w] = x | bits
-        nxt = []
-        if _pulls(push, pull):
+        hub_cost = sum(map(len, cliques))
+    done = [keep.get(v, full) for v in range(n)] if keep else [full] * n  # what balls may hold
+    pending = [v for v in range(n) if ball[v] != done[v]]
+    pull = sum(map(cost.__getitem__, pending)) + hub_cost
+    live = sum(map(degree.__getitem__, pending))  # the degrees of the vertices not done
+    finished = False  # whether a pending vertex is done since pending was built
+    grown = [v for v in range(n) if ball[v]]
+    push = sum(map(degree.__getitem__, grown))
+    old = [0] * n
+    while grown:
+        new = ball[:]
+        pulled = _pulls(push, pull)
+        if pulled:
             if finished:
-                pending = [v for v in pending if unseen[v]]
+                pending = [v for v in pending if ball[v] != done[v]]
                 finished = False
+            at = ball
             if cover:
-                for u, bits in frontier:
-                    for h in hubs[u]:
-                        at[h] |= bits
+                at = ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in cliques]
+            grown = []
+            push = live  # less the vertices not done that do not grow
             for v in pending:
-                acc = reach[v]
+                acc = b = ball[v]
                 for w in scan[v]:
                     acc |= at[w]
-                new = acc & unseen[v]
-                if new:
-                    unseen[v] ^= new
-                    nxt.append((v, new))
-            for v in touched:
-                reach[v] = 0
+                if acc != b:
+                    new[v] = acc
+                    grown.append(v)
+                    if acc == full:
+                        pull -= cost[v]
+                        live -= degree[v]
+                        finished = True
+                else:
+                    push -= degree[v]
         else:
-            for u, bits in frontier:
+            for u in grown:
+                bits = ball[u] ^ old[u]
                 for w in adj[u]:
-                    x = reach[w]
-                    if not x:
-                        touched.append(w)
-                    reach[w] = x | bits
-            for v in touched:
-                new = reach[v] & unseen[v]
-                reach[v] = 0
-                if new:
-                    unseen[v] ^= new
-                    nxt.append((v, new))
-        push = 0
-        for v, new in nxt:
-            at[v] = new
-            push += degree[v]
-            if not unseen[v]:
-                pull -= cost[v]
-                finished = True
-        frontier = nxt
-        yield frontier
+                    new[w] |= bits
+        if gates:
+            for (u, w), bits in gates.items():
+                new[w] |= ball[u] & bits
+        if keep:
+            for x, mask in keep.items():
+                new[x] &= mask
+        if gates or keep or not pulled:  # count afresh after gates, masks or a push
+            grown = [v for v in pending if new[v] != ball[v]]
+            pending = [v for v in pending if new[v] != done[v]]
+            pull = sum(map(cost.__getitem__, pending)) + hub_cost
+            live = sum(map(degree.__getitem__, pending))
+            push = sum(map(degree.__getitem__, grown))
+            finished = False
+        old, ball = ball, new
+        if grown:
+            yield old, ball, grown
 
 
 def _source_levels(g: Graph):
     """Per block of _width(n) vertices of g, the run of _levels over g.adj
-    and g._cover from them as sources, one bit each: the bits new at v on
-    level k are the block's sources at distance k from v."""
+    and g._cover from them as sources, one bit each: on level k, v's ball
+    holds the block's sources within distance k of v."""
     n = g.order
     width = _width(n)
     for lo in range(0, n, width):
-        block = range(lo, min(lo + width, n))
-        unseen = [(1 << len(block)) - 1] * n
-        frontier = [(s, 1 << i) for i, s in enumerate(block)]
-        for s, bit in frontier:
-            unseen[s] ^= bit
-        yield _levels(g.adj, frontier, unseen, cover=g._cover)
+        hi = min(lo + width, n)
+        ball = [0] * lo + [1 << i for i in range(hi - lo)] + [0] * (n - hi)
+        yield _levels(g.adj, ball, (1 << (hi - lo)) - 1, cover=g._cover)
 
 
 def _balls(adj: list[list[int]]) -> list[list[int]]:
@@ -330,18 +326,17 @@ def _balls(adj: list[list[int]]) -> list[list[int]]:
     eccentricity of v in its component.
 
     One run of _levels from every vertex at once, one bit per source,
-    always in one block: the bits new at v on level k are the sources at
-    distance k from v, which by symmetry are the vertices at distance k
-    from v, so v's ball grows by them. That holds n balls of n bits per
-    vertex at most, about n**3 / 8 bytes.
+    always in one block: by symmetry, the sources within distance k of v
+    are the vertices within distance k of v, so v's balls are the balls
+    of its levels, kept on each level that grows it. That holds n balls
+    of n bits per vertex at most, about n**3 / 8 bytes.
     """
     n = len(adj)
-    full = (1 << n) - 1
-    balls = [[1 << v] for v in range(n)]
-    unseen = [full ^ (1 << v) for v in range(n)]
-    for level in _levels(adj, [(v, 1 << v) for v in range(n)], unseen):
-        for v, _ in level:
-            balls[v].append(full ^ unseen[v])
+    seed = [1 << v for v in range(n)]
+    balls = [[bits] for bits in seed]
+    for _, ball, grown in _levels(adj, seed, (1 << n) - 1):
+        for v in grown:
+            balls[v].append(ball[v])
     return balls
 
 
@@ -361,10 +356,12 @@ def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
     edit without sources has no lane; with no lane at all nothing is
     built. The edges cut in a block leave the scanned adjacency and
     cross by gates, each direction of (u, v) closed to its edits' lanes;
-    a vertex cut's lanes start as seen at x, so x never forwards them.
+    a cut vertex x keeps every lane but its edits' own, so they never
+    enter its ball and it never forwards them.
     Lane sums are kept bit-sliced: plane p holds bit p of every lane's
-    sum. Each level first counts, per lane, the vertices it is new at, in
-    a small bit-sliced counter of its own, so that carries stay short;
+    sum. Each level first counts, per lane, the vertices it is new at
+    (ball[v] ^ old[v] at each grown v), in a small bit-sliced counter of
+    its own, so that carries stay short;
     the count c of level k then adds c * 2**(top - k), from plane top - k
     on. An edit's sum is then the popcounts of its lanes in each plane,
     weighted by 2**p.
@@ -381,34 +378,31 @@ def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
     for lo in range(0, len(lanes), width):
         block = lanes[lo : lo + width]
         full = (1 << len(block)) - 1
-        unseen = [full] * n
         start = [0] * n
         owned: dict[int, int] = {}  # edit -> its lanes in this block
         for i, (e, s) in enumerate(block):
             bit = 1 << i
-            unseen[s] ^= bit
             start[s] |= bit
             owned[e] = owned.get(e, 0) | bit
-        # gates[u, v]: the lanes that may cross a cut edge from u to v
+        # gates[u, v]: the lanes that may cross a cut edge from u to v;
+        # keep[x]: the lanes that may reach a cut vertex x
         gates: dict[tuple[int, int], int] = {}
+        keep: dict[int, int] = {}
         for e, mine in owned.items():
             cut = edits[e][0]
             if isinstance(cut, tuple):
                 for u, v in (cut, cut[::-1]):
                     gates[u, v] = gates.get((u, v), full) ^ mine
             else:
-                unseen[cut] &= ~mine
+                keep[cut] = keep.get(cut, full) ^ mine
         scan = list(adj)  # adj without the cut edges, which cross by gates
         for u in {u for u, _ in gates}:
             scan[u] = [w for w in adj[u] if (u, w) not in gates]
         acc = [0] * height  # the planes of the lane sums
-        frontier = [(s, bits) for s, bits in enumerate(start) if bits]
-        for k, level in enumerate(_levels(scan, frontier, unseen, gates), 1):
-            if not level:
-                break  # the last, past every lane's eccentricity
+        for k, (old, ball, grown) in enumerate(_levels(scan, start, full, keep, gates), 1):
             count = [0] * low  # this level's
-            for v, new in level:
-                p, c = 0, new
+            for v in grown:
+                p, c = 0, ball[v] ^ old[v]
                 while c:
                     q = count[p]
                     count[p] = q ^ c
@@ -434,24 +428,25 @@ def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
 
 def graph_closeness(g: Graph) -> ClosenessReport:
     """Per-vertex closenesses and the graph total, by multi-source BFS
-    from every vertex (_source_levels): by symmetry, the bits new at v on
-    level k count the vertices at distance k from v. v's closeness is
-    num[v] / 2**depth[v], depth[v] its deepest level so far: a deeper
-    level shifts num[v] up to it and adds its count (Horner's rule); a
-    level no deeper, which only a later block brings, adds its count
-    shifted up to depth[v]."""
+    from every vertex (_source_levels): by symmetry, the sources that v's
+    ball gains on level k, ball[v] ^ old[v], count the vertices at
+    distance k from v. v's closeness is num[v] / 2**depth[v], depth[v]
+    its deepest level so far: a deeper level shifts num[v] up to it and
+    adds its count (Horner's rule); a level no deeper, which only a later
+    block brings, adds its count shifted up to depth[v]."""
     n = g.order
     num = [0] * n
     depth = [0] * n
     for levels in _source_levels(g):
-        for k, level in enumerate(levels, 1):
-            for v, new in level:
+        for k, (old, ball, grown) in enumerate(levels, 1):
+            for v in grown:
+                c = (ball[v] ^ old[v]).bit_count()
                 d = depth[v]
                 if k > d:
-                    num[v] = (num[v] << (k - d)) + new.bit_count()
+                    num[v] = (num[v] << (k - d)) + c
                     depth[v] = k
                 else:
-                    num[v] += new.bit_count() << (d - k)
+                    num[v] += c << (d - k)
     deepest = max(depth, default=0)
     total = sum(c << (deepest - d) for c, d in zip(num, depth))
     return ClosenessReport(
@@ -461,16 +456,22 @@ def graph_closeness(g: Graph) -> ClosenessReport:
 
 
 def _total_closeness(g: Graph) -> Dyadic:
-    """graph_closeness(g).total, read off level counts: the bits new on
-    level k of _source_levels are the ordered pairs at distance k, so
-    with c_k of them the total is the sum of c_k * 2**-k. No per-vertex
-    sum is kept."""
+    """graph_closeness(g).total, read off level counts: the balls of
+    level k of _source_levels hold the ordered pairs within distance k,
+    so with s_k of them c_k = s_k - s_(k-1) pairs are at distance k, and
+    the total is the sum of c_k * 2**-k (Horner's rule). s_0 is the
+    block's source count. No per-vertex sum is kept."""
+    n = g.order
+    width = _width(n)
     total = Dyadic(0)
-    new_bits = operator.itemgetter(1)
-    for levels in _source_levels(g):
-        counts = [sum(map(int.bit_count, map(new_bits, level))) for level in levels]
-        deepest = len(counts)
-        total += Dyadic(sum(c << (deepest - k) for k, c in enumerate(counts, 1)), deepest)
+    for lo, levels in zip(range(0, n, width), _source_levels(g)):
+        seen = min(width, n - lo)
+        num = deepest = 0
+        for deepest, (_, ball, _) in enumerate(levels, 1):
+            size = sum(map(int.bit_count, ball))
+            num = (num << 1) + size - seen
+            seen = size
+        total += Dyadic(num, deepest)
     return total
 
 

@@ -104,20 +104,16 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
         hub = [0] * g.order  # the hub slot, m + c, of the vertex of clique c
         for c, x in enumerate(big):
             hub[x] = m + c
-        hubs, scan = [], []
+        scan = []
         for k, (u, v) in enumerate(edge_list):
             hu, hv = hub[u], hub[v]
             if hu and hv:
-                mine = [hu, hv]
-                scan.append(mine)
+                scan.append([hu, hv])
             elif hu or hv:
-                mine = [hu or hv]
-                scan.append([j for j in inc[v if hu else u] if j != k] + mine)
+                scan.append([j for j in inc[v if hu else u] if j != k] + [hu or hv])
             else:
-                mine = []
                 scan.append(ladj[k])
-            hubs.append(mine)
-        lg._cover = ([inc[x] for x in big], hubs, scan)
+        lg._cover = ([inc[x] for x in big], scan)
     return lg, origins
 
 

@@ -61,33 +61,70 @@ MUTANTS = (
         (f"{KERNEL_TESTS}::test_deletion_lanes_of_one_source_on_a_long_path_push",),
     ),
     Mutant(
-        "pull-without-gate-bits", GRAPH,
-        "                acc = reach[v]\n",
-        "                acc = 0\n",
+        "gate-bits-a-level-late", GRAPH,
+        "                new[w] |= ball[u] & bits\n",
+        "                new[w] |= old[u] & bits\n",
         (f"{KERNEL_TESTS}::test_deletion_lanes_on_a_theta_pull",),
     ),
     Mutant(
-        "gate-ends-not-pending", GRAPH,
-        "if x and (cost[v] or v in ends)]",
-        "if x and cost[v]]",
+        "gate-growth-not-seen-on-a-pull", GRAPH,
+        "        if gates or keep or not pulled:",
+        "        if keep or not pulled:",
         (f"{KERNEL_TESTS}::test_each_direction_alone_matches_the_references",),
     ),
     Mutant(
         "pull-count-never-lowered", GRAPH,
-        "                pull -= cost[v]\n",
-        "                pull -= 0\n",
+        "                        pull -= cost[v]\n",
+        "                        pull -= 0\n",
         (f"{KERNEL_TESTS}::test_balls_pull", f"{KERNEL_TESTS}::test_all_sources_pull"),
     ),
     Mutant(
+        "pull-count-kept-after-a-push", GRAPH,
+        "            pull = sum(map(cost.__getitem__, pending)) + hub_cost\n",
+        "",
+        (f"{KERNEL_TESTS}::test_one_lane_on_a_long_path_pulls_once_the_path_has_seen_it",),
+    ),
+    Mutant(
+        "push-count-keeps-stalled-vertices", GRAPH,
+        "                    push -= degree[v]\n",
+        "                    push -= 0\n",
+        (f"{KERNEL_TESTS}::test_balls_of_a_path_beside_a_clique_push",
+         f"{KERNEL_TESTS}::test_direction_counts_are_exact"),
+    ),
+    Mutant(
+        "live-degrees-never-lowered", GRAPH,
+        "                        live -= degree[v]\n",
+        "                        live -= 0\n",
+        (f"{KERNEL_TESTS}::test_direction_counts_are_exact",),
+    ),
+    Mutant(
+        "pending-drops-a-vertex-that-did-not-grow", GRAPH,
+        "                pending = [v for v in pending if ball[v] != done[v]]\n",
+        "                pending = [v for v in grown if ball[v] != done[v]]\n",
+        (f"{KERNEL_TESTS}::test_a_ball_that_skips_a_level_stays_pending",),
+    ),
+    Mutant(
+        "push-sends-the-old-ball", GRAPH,
+        "                bits = ball[u] ^ old[u]\n",
+        "                bits = old[u]\n",
+        (f"{KERNEL_TESTS}::test_each_direction_alone_matches_the_references",),
+    ),
+    Mutant(
+        "cut-vertex-forwards-its-own-lanes", GRAPH,
+        "                new[x] &= mask\n",
+        "                new[x] &= full\n",
+        (f"{KERNEL_TESTS}::test_a_cut_vertex_never_takes_its_own_lanes",),
+    ),
+    Mutant(
         "later-block-added-unshifted", GRAPH,
-        "num[v] += new.bit_count() << (d - k)",
-        "num[v] += new.bit_count()",
+        "num[v] += c << (d - k)",
+        "num[v] += c",
         (f"{KERNEL_TESTS}::test_matches_reference_on_multi_block_graphs",),
     ),
     Mutant(
         "balls-seeded-without-own-bit", GRAPH,
-        "    unseen = [full ^ (1 << v) for v in range(n)]\n",
-        "    unseen = [full] * n\n",
+        "_levels(adj, seed, (1 << n) - 1)",
+        "_levels(adj, [0] * n, (1 << n) - 1)",
         (f"{KERNEL_TESTS}::test_balls_match_the_bfs_distances",),
     ),
     Mutant(
@@ -162,21 +199,29 @@ MUTANTS = (
     ),
     Mutant(
         "hub-keeps-one-member", GRAPH,
-        "                        at[h] |= bits\n",
-        "                        at[h] = bits\n",
+        "[reduce(operator.or_, map(ball.__getitem__, c)) for c in cliques]",
+        "[ball[c[0]] for c in cliques]",
+        (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+    ),
+    Mutant(
+        "hub-read-from-the-next-level", GRAPH,
+        "                    new[v] = acc\n",
+        "                    new[v] = acc\n"
+        "                    for h in scan[v] if cover else ():\n"
+        "                        at[h] |= acc if h >= n else 0\n",
         (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
     ),
     Mutant(
         "hubs-miss-one-endpoint-star", TRANSFORMS,
-        "                mine = [hu, hv]\n",
-        "                mine = [hu]\n",
+        "                scan.append([hu, hv])\n",
+        "                scan.append([hu])\n",
         (f"{GUARD}::test_line_graph_cover_reproduces_its_adjacency",
          f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency"),
     ),
     Mutant(
         "cover-scan-drops-a-neighbour", TRANSFORMS,
-        "if j != k] + mine)",
-        "if j > k] + mine)",
+        "if j != k] + [hu or hv])",
+        "if j > k] + [hu or hv])",
         (f"{GUARD}::test_line_graph_cover_reproduces_its_adjacency",
          f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency"),
     ),
@@ -188,8 +233,14 @@ MUTANTS = (
     ),
     Mutant(
         "totals-drop-the-last-level", GRAPH,
-        "map(new_bits, level))) for level in levels]",
-        "map(new_bits, level))) for level in list(levels)[:-2]]",
+        "enumerate(levels, 1):\n            size",
+        "enumerate(list(levels)[:-1], 1):\n            size",
+        (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
+    ),
+    Mutant(
+        "totals-count-a-full-last-block", GRAPH,
+        "        seen = min(width, n - lo)\n",
+        "        seen = width\n",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     # the vulnerability state: only-parent sets by counting, gains from the balls

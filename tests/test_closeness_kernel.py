@@ -216,6 +216,70 @@ def test_deletion_sums_without_sources_build_nothing(monkeypatch):
     assert graph._deletion_sums(g.adj, [(0, []), ((1, 2), [])]) == [0, 0]
 
 
+# -- the traps of a ball loop: a vertex stays pending until its ball is full
+# (under its keep mask), and the loop ends only on a level with no growth ------
+
+def _force(monkeypatch, direction):
+    """Every level of _levels from here on one way, unless direction is None."""
+    if direction is not None:
+        monkeypatch.setattr(graph, "_pulls", lambda push, pull: direction == "pull")
+
+
+DIRECTIONS = pytest.mark.parametrize("direction", [None, "push", "pull"])
+
+# vertex 2 is at distance 1 from source 0 and at distance 3 from source 1:
+# in blocks of two sources, its ball does not grow on level 2 of the first
+GAP = build(5, [(0, 2), (2, 3), (3, 4), (4, 1)])
+
+
+@DIRECTIONS
+def test_a_ball_that_skips_a_level_stays_pending(monkeypatch, direction):
+    monkeypatch.setattr(graph, "_width", lambda n: 2)
+    grows = [2 in grown for _, _, grown in next(graph._source_levels(GAP))]
+    assert grows[:3] == [True, False, True]
+    want = _canonical(closeness_reference.graph_closeness(GAP))
+    _force(monkeypatch, direction)
+    assert _canonical(graph_closeness(GAP)) == want
+    assert graph._total_closeness(GAP).canonical() == want[1]
+
+
+@DIRECTIONS
+def test_a_disconnected_graph_ends_when_no_ball_grows(monkeypatch, direction):
+    """No ball of a path beside a triangle and an isolated vertex ever
+    holds every source."""
+    g = build(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+    edits = [(2, [0, 1, 3, 8]), ((5, 6), [5, 7]), ((0, 1), [0, 4, 6])]
+    want = _reference_deletion_sums(g.adj, edits)
+    _force(monkeypatch, direction)
+    assert_matches_reference(g)
+    assert graph._total_closeness(g) == graph_closeness(g).total
+    assert graph._balls(g.adj) == _reference_balls(g)
+    assert graph._deletion_sums(g.adj, edits) == want
+
+
+@DIRECTIONS
+def test_a_cut_vertex_never_takes_its_own_lanes(monkeypatch, direction):
+    """Vertex 2 of a path is cut with sources on both sides, so its own
+    lanes must neither reach it nor cross it; the lanes of the edge cut
+    beside it start at 2 and must leave it."""
+    g = generate(FamilySpec("path", 5))
+    edits = [(2, [0, 1, 3, 4]), ((0, 1), [2]), (0, [2, 4])]
+    want = _reference_deletion_sums(g.adj, edits)
+    _force(monkeypatch, direction)
+    assert graph._deletion_sums(g.adj, edits) == want
+
+
+@DIRECTIONS
+def test_a_cut_edge_is_crossed_the_long_way_round(monkeypatch, direction):
+    """On a 6-cycle less the edge (0, 1), the lanes from 0 reach 1 at
+    distance 5, by the other side of the cycle."""
+    g = generate(FamilySpec("cycle", 6))
+    edits = [((0, 1), [0, 1, 3]), ((2, 3), [0])]
+    want = _reference_deletion_sums(g.adj, edits)
+    _force(monkeypatch, direction)
+    assert graph._deletion_sums(g.adj, edits) == want
+
+
 # -- the two directions of _levels: each traversal pushes and pulls ------------
 
 def _directions(monkeypatch):
@@ -259,6 +323,62 @@ def test_deletion_lanes_of_one_source_on_a_long_path_push(monkeypatch):
     got = graph._deletion_sums(LONG_PATH.adj, edits)
     assert taken[:-2] == [False] * (len(taken) - 2) and len(taken) == 39
     assert got == want
+
+
+def test_one_lane_on_a_long_path_pulls_once_the_path_has_seen_it(monkeypatch):
+    """One lane from the first vertex of a path, its last vertex cut:
+    each push level lowers the pull count by the degree of the vertex the
+    lane reaches, until pull is the cheaper direction for the last two."""
+    edits = [(39, [0])]
+    want = _reference_deletion_sums(LONG_PATH.adj, edits)
+    taken = _directions(monkeypatch)
+    got = graph._deletion_sums(LONG_PATH.adj, edits)
+    assert taken == [False] * 37 + [True, True]
+    assert got == want
+
+
+def _cut_cycle():
+    """A 6-cycle whose edge (0, 1) is closed to lane 0 and whose vertex 3
+    is closed to lane 1, with lanes 0, 1 and 2 starting at 0, 2 and 5."""
+    adj = [list(nbrs) for nbrs in generate(FamilySpec("cycle", 6)).adj]
+    adj[0].remove(1)
+    adj[1].remove(0)
+    gates = {(0, 1): 0b110, (1, 0): 0b110}
+    return adj, [1, 0, 2, 0, 0, 4], 0b111, {3: 0b101}, gates, None
+
+
+def _from_every_vertex(g):
+    n = g.order
+    return g.adj, [1 << v for v in range(n)], (1 << n) - 1, None, None, g._cover
+
+
+@pytest.mark.parametrize("run", [
+    _from_every_vertex(DENSE), _from_every_vertex(LONG_PATH), _from_every_vertex(PATH_AND_CLIQUE),
+    _from_every_vertex(generate(FamilySpec("lollipop", 6, 10))),
+    _from_every_vertex(_union(generate(FamilySpec("tadpole", 5, 6)), generate(FamilySpec("star", 4)))),
+    _from_every_vertex(line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]),
+    _cut_cycle(),
+], ids=["dense", "path", "path-and-clique", "lollipop", "union", "line-lollipop", "cut-cycle"])
+def test_direction_counts_are_exact(monkeypatch, run):
+    """The counts _pulls weighs before each level, recounted from the
+    yielded balls: push, the degrees of the vertices that grew on the last
+    level (the seeded ones first); pull, the scanned entries of the
+    vertices whose ball does not yet hold all it may, plus a cover's hub
+    builds."""
+    adj, seed, full, keep, gates, cover = run
+    calls = []
+    monkeypatch.setattr(graph, "_pulls", lambda push, pull: calls.append((push, pull)) or pull <= push)
+    scan = cover[1] if cover else adj
+    done = [keep.get(v, full) if keep else full for v in range(len(adj))]
+
+    def counts(ball, grown):
+        return (sum(len(adj[v]) for v in grown),
+                sum(len(scan[v]) for v, bits in enumerate(ball) if bits != done[v])
+                + sum(map(len, cover[0] if cover else [])))
+
+    want = [counts(seed, [v for v, bits in enumerate(seed) if bits])]
+    want += [counts(ball, grown) for _, ball, grown in graph._levels(adj, seed, full, keep, gates, cover)]
+    assert calls == want
 
 
 # from every vertex of a long path, each level's pull count is below its

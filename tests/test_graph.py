@@ -36,6 +36,15 @@ def test_construction_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [], labels=["a"])
+    with pytest.raises(ValueError, match="order must be non-negative, got -1"):
+        Graph.from_edges(-1, [])
+
+
+def test_repr_and_comparison_with_other_types():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert repr(g) == "Graph(order=3, edges=2)"
+    assert g.__eq__(g.adj) is NotImplemented
+    assert g != g.adj and g == Graph.from_edges(3, [(1, 2), (0, 1)])
 
 
 def test_adjacency_sorted_and_symmetric():

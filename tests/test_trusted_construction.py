@@ -57,26 +57,26 @@ def assert_built_as_from_edges(g):
 
 def assert_cover_reproduces_adjacency(g, lg):
     """lg = line_graph(g): its cliques are the stars of g of four edges or
-    more, in vertex order, each pairwise adjacent; v's hubs are its
-    cliques' slots, and its scan list its other neighbours, sorted, then
-    its hubs. So v's adjacency is its scanned neighbours plus its
-    cliques' members, less v."""
+    more, in vertex order, each pairwise adjacent, and v's scan list is
+    its other neighbours, sorted, then its cliques' hub slots. So v's
+    adjacency is its scanned neighbours plus its cliques' members, less
+    v."""
     n, edges = lg.order, list(g.edges())
     stars = [[k for k, e in enumerate(edges) if x in e] for x in range(g.order)]
     stars = [star for star in stars if len(star) >= 4]
     if not stars:
         assert lg._cover is None
         return
-    cliques, hubs, scan = lg._cover
+    cliques, scan = lg._cover
     assert cliques == stars
     for members in cliques:
         for i, v in enumerate(members):
             assert all(w in lg.adj[v] for w in members[i + 1 :])
     for v in range(n):
-        assert hubs[v] == [n + c for c, members in enumerate(cliques) if v in members]
+        hubs = [n + c for c, members in enumerate(cliques) if v in members]
         direct = [w for w in scan[v] if w < n]
-        assert scan[v] == direct + hubs[v] and direct == sorted(direct)
-        through = [w for h in hubs[v] for w in cliques[h - n] if w != v]
+        assert scan[v] == direct + hubs and direct == sorted(direct)
+        through = [w for h in hubs for w in cliques[h - n] if w != v]
         assert sorted(direct + through) == lg.adj[v], f"vertex {v}"
 
 
