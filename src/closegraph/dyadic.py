@@ -100,9 +100,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Dyadic(-self.numerator, self.exponent)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

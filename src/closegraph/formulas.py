@@ -32,8 +32,15 @@ __all__ = [
     "cycle_vertex_closeness",
 ]
 
-# The pendant-bridge cases bridged_line accepts, each with its least n.
-BRIDGED_CASES = {"path": 1, "cycle": 3, "star_leaf": 2, "star_center": 2, "complete": 2}
+# The pendant-bridge cases bridged_line accepts: case -> (base family, the
+# vertex its pendant edge attaches to, least n).
+BRIDGED_CASES = {
+    "path": ("path", 0, 1),
+    "cycle": ("cycle", 0, 3),
+    "star_leaf": ("star", 1, 2),
+    "star_center": ("star", 0, 2),
+    "complete": ("complete", 0, 2),
+}
 
 _P2 = Dyadic.pow2
 
@@ -153,8 +160,9 @@ def bridged_line(case: str, n: int) -> BridgedLineValues:
         raise ValueError(
             f"unknown bridged-line case {case!r}; choose from {tuple(BRIDGED_CASES)}"
         )
-    if n < BRIDGED_CASES[case]:
-        raise ValueError(f"{case} case requires n >= {BRIDGED_CASES[case]}, got {n}")
+    _, _, least = BRIDGED_CASES[case]
+    if n < least:
+        raise ValueError(f"{case} case requires n >= {least}, got {n}")
     if case == "path":
         return BridgedLineValues(_path_total(n), Dyadic(1) - _P2(1 - n))
     if case == "cycle":

@@ -583,10 +583,10 @@ def format_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    """Graphviz DOT rendering with provenance labels on the vertices, as
-    quoted strings with '\\' and '"' escaped by a backslash."""
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    """Graphviz DOT rendering, as the graph G, with provenance labels on
+    the vertices as quoted strings with '\\' and '"' escaped by a backslash."""
+    lines = ["graph G {"]
     for i, label in enumerate(g.labels):
         quoted = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {i} [label="{quoted}"];')

@@ -211,21 +211,13 @@ def _line(fam: str, p1: int, p2: int | None):
     return [_record(f"CL_{fam}", p1, p2, closed_form_line(spec), oracle)]
 
 
-# pendant-bridge case -> (base family, vertex the pendant edge attaches to)
-_BRIDGED_BASE = {
-    "path": ("path", 0),
-    "cycle": ("cycle", 0),
-    "star_leaf": ("star", 1),
-    "star_center": ("star", 0),
-    "complete": ("complete", 0),
-}
 # the case of each family with the pendant at vertex 0, where composite parts join
-_CASE_AT_0 = {fam: case for case, (fam, attach) in _BRIDGED_BASE.items() if attach == 0}
+_CASE_AT_0 = {fam: case for case, (fam, attach, _) in BRIDGED_CASES.items() if attach == 0}
 
 
 def _bridged(case: str, n: int):
     values = bridged_line(case, n)
-    fam, attach = _BRIDGED_BASE[case]
+    fam, attach, _ = BRIDGED_CASES[case]
     base = generate(FamilySpec(fam, n))
     g, _ = bridge_join(base, attach, Graph(1, [[]], ["B"]), 0)
     pendant_edge = (attach, g.order - 1)
@@ -354,9 +346,8 @@ def build_tasks(
                 (check, fam, p1, p2) for p1, p2 in _grid(fam, window, check is _line)
             )
 
-    for case, (fam, _) in _BRIDGED_BASE.items():
+    for case, (fam, _, lo) in BRIDGED_CASES.items():
         if fam in wanted:
-            lo = BRIDGED_CASES[case]
             yield from ((_bridged, case, n) for n in range(lo, window.bridged_max + 1))
 
     if families is None:
@@ -401,7 +392,7 @@ def _worker_count(jobs: int | None, tasks: int) -> int:
 
 
 def run_all(
-    window: SweepWindow | None = None,
+    window: SweepWindow = SweepWindow(),
     seed: int = DEFAULT_SEED,
     families: set[str] | None = None,
     experiment_min_degree: bool = False,
@@ -416,8 +407,6 @@ def run_all(
     """
     for fam in sorted(families or ()):
         check_family(fam)
-    if window is None:
-        window = SweepWindow()
     grid = (window, seed, families, experiment_min_degree)
     count = sum(1 for _ in build_tasks(*grid))
     jobs = _worker_count(jobs, count)

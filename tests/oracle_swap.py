@@ -13,8 +13,8 @@ per-source BFS of tests/closeness_reference.py in place of those kernels:
   and verify._total_closeness swapped for the reference, must write
   records.csv and records.json with the hashes in bench/oracle.py
   (BASELINE_SHA256);
-* tests/vuln_reference.py, the exhaustive single-edit search, with every
-  edited graph closed by the reference, must give every
+* tests/vuln_reference.py, the exhaustive single-edit search, which
+  closes every edited graph with the reference, must give every
   tests/data/*.vuln-*.json;
 * ``closegraph closeness --per-vertex`` with the reference must give every
   tests/data/*.closeness.{json,csv,txt}.
@@ -63,7 +63,6 @@ def sweep():
 
 def vulnerability():
     """(pin, whether it holds) for every vulnerability json pin."""
-    vuln_reference.graph_closeness = closeness_reference.graph_closeness
     measures = {
         "link": vuln_reference.link_residual,
         "vertex": vuln_reference.vertex_residual,

@@ -106,13 +106,13 @@ def test_closeness_json_escapes_labels_as_json_dumps():
         # the json cases keep the ids they had before csv and text were pinned
         pytest.param(stem, fmt, suffix, id=stem if fmt == "json" else f"{stem}-{fmt}")
         for fmt, suffix in [("json", "json"), ("csv", "csv"), ("text", "txt")]
-        for stem in ["path60_chords6_seed0", "rand60_m240_seed0"]
+        for stem in ["path60_chords6_seed0", "rand60_m240_seed0", "barbell4_5_plus1"]
     ],
 )
 def test_closeness_json_pinned(capsys, stem, fmt, suffix):
-    """`closeness --per-vertex` on a long-diameter and a short-diameter
-    graph prints exactly the text committed beside each, in json, csv
-    and text."""
+    """`closeness --per-vertex` on a long-diameter, a short-diameter and
+    a disconnected graph prints exactly the text committed beside each,
+    in json, csv and text."""
     code, out, _ = run(capsys, "closeness", "-i", str(DATA / f"{stem}.edges"),
                        "--per-vertex", "--format", fmt)
     assert code == 0
@@ -234,6 +234,22 @@ def test_verify_small_window(tmp_path, capsys):
     assert "0 failed" in out
     assert (out_dir / "records.csv").exists()
     assert (out_dir / "records.json").exists()
+
+
+def test_verify_experiment_is_reported_not_counted(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "verify", "--experiment-min-degree",
+        "--window", "basic=1,complete=1,m=1,n=1,bistar_n=1,bridged=1,shadow_cases=3,pairs=1",
+        "-o", str(tmp_path),
+    )
+    assert code == 0
+    rows = (tmp_path / "records.csv").read_text().splitlines()[1:]
+    experiments = [row for row in rows if row.startswith("experiment_shadow_min_degree,")]
+    assert len(experiments) == 3
+    assert out.splitlines() == [
+        f"{len(rows) - 3} checks, 0 failed; records in {tmp_path}",
+        "experiment report: 3/3 cases agree (not asserted)",
+    ]
 
 
 def test_verify_family_filter(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closegraph import graph, verify
+from closegraph import graph
 from closegraph.dyadic import Dyadic
 from closegraph.formulas import BRIDGED_CASES
 from closegraph.generators import (COMPOSITE_FAMILIES, MINIMA, FamilySpec, gen_random_connected,
@@ -454,8 +454,8 @@ def composite(draw):
 def bridged(draw):
     """A base graph of a pendant-bridge sweep check with its pendant edge."""
     case = draw(st.sampled_from(sorted(BRIDGED_CASES)))
-    n = draw(st.integers(min_value=BRIDGED_CASES[case], max_value=BRIDGED_CASES[case] + 5))
-    fam, attach = verify._BRIDGED_BASE[case]
+    fam, attach, lo = BRIDGED_CASES[case]
+    n = draw(st.integers(min_value=lo, max_value=lo + 5))
     order, edges = _edges_of(generate(FamilySpec(fam, n)))
     return order + 1, edges + [(attach, order)]
 

@@ -88,6 +88,39 @@ def test_long_runs_of_trailing_zeros_normalize_exactly():
     assert Dyadic(1 << 200_000, 200_000) == Dyadic(1)
 
 
+def test_hash_agrees_with_equal_ints_and_fractions():
+    assert hash(Dyadic(2)) == hash(2)
+    assert hash(Dyadic(-7)) == hash(-7)
+    assert hash(Dyadic(11, 1)) == hash(Fraction(11, 2))
+    assert {2, Dyadic(2), Dyadic(4, 1)} == {2}
+    assert len({Dyadic(3, 2), Dyadic(12, 4)}) == 1
+
+
+def test_truth_str_and_repr():
+    assert not Dyadic(0, 5)
+    assert Dyadic(-1, 3)
+    assert str(Dyadic(88, 4)) == "11/2^1"
+    assert repr(Dyadic(88, 4)) == "Dyadic(11, 1)"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda d: d + "x", lambda d: "x" + d, lambda d: d - "x", lambda d: "x" - d,
+     lambda d: d * 1.5, lambda d: d < "x"],
+    ids=["add", "radd", "sub", "rsub", "mul", "lt"],
+)
+def test_other_types_are_not_implemented(op):
+    with pytest.raises(TypeError):
+        op(Dyadic(1))
+
+
+def test_equality_with_other_types_is_false():
+    assert Dyadic(1) != "x"
+    assert not Dyadic(1) == "x"
+    # floats are not coerced: a Dyadic leaves the comparison to them
+    assert Dyadic(1).__eq__(1.0) is NotImplemented
+
+
 def test_slots_leave_no_instance_dict():
     assert not hasattr(Dyadic(3, 1), "__dict__")
 

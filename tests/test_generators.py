@@ -112,9 +112,16 @@ def test_validation_rejects(spec):
         FamilySpec(*args)
 
 
+def test_builders_reject_the_other_kind_of_family():
+    with pytest.raises(ValueError, match="^lollipop is not a basic family$"):
+        gen_basic(FamilySpec("lollipop", 3, 2))
+    with pytest.raises(ValueError, match="^path is not a composite family$"):
+        gen_composite(FamilySpec("path", 3))
+
+
 @pytest.mark.parametrize(
     "args",
-    [("path", MAX_ORDER), ("cycle", MAX_ORDER), ("star", MAX_ORDER), ("complete", 447),
+    [("path", MAX_ORDER),("cycle", MAX_ORDER), ("star", MAX_ORDER), ("complete", 447),
      ("lollipop", 447, 319), ("tadpole", 3, MAX_ORDER - 3), ("bistar", 3, MAX_ORDER - 3)],
 )
 def test_size_limit_admits_graphs_up_to_max_order(args):

@@ -166,7 +166,7 @@ def _capture(monkeypatch, name, built):
 
 @pytest.mark.parametrize(
     "task",
-    [(verify._bridged, case, n) for case, lo in BRIDGED_CASES.items() for n in (lo, lo + 3)]
+    [(verify._bridged, case, n) for case, (*_, lo) in BRIDGED_CASES.items() for n in (lo, lo + 3)]
     + [(verify._shadow_mindeg, i, verify.DEFAULT_SEED, 12) for i in range(6)],
     ids=lambda task: "-".join([task[0].__name__, *map(str, task[1:])]),
 )

@@ -1,7 +1,9 @@
 """Reference vulnerability measures by exhaustive single-edit search.
 
 Each candidate edit builds the edited graph through the transforms and
-reruns the all-pairs closeness. This is the definition, written as
+reruns the all-pairs closeness, one BFS per source
+(``closeness_reference``), so no bitset traversal of the engine's
+``graph._levels`` runs on this side. This is the definition, written as
 plainly as possible, that the incremental engine in
 ``closegraph.vulnerability`` must reproduce report for report.
 
@@ -19,9 +21,11 @@ not exceed.
 from __future__ import annotations
 
 from closegraph.dyadic import Dyadic
-from closegraph.graph import Graph, bfs_distances, graph_closeness
+from closegraph.graph import Graph, bfs_distances
 from closegraph.transforms import add_edge, delete_edge, delete_vertex
 from closegraph.vulnerability import VulnerabilityReport, _Balls, _optimum
+
+from closeness_reference import graph_closeness
 
 
 def link_residual(g: Graph) -> VulnerabilityReport:
