@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .graph import MAX_ORDER, Graph, _parse_int, _sorted_adjacency
 from .transforms import bridge_join
@@ -162,8 +160,10 @@ def generate(spec: FamilySpec) -> Graph:
 
 def gen_random_connected(order: int, edge_budget: int, seed: int) -> Graph:
     """Seeded connected graph: a random spanning tree plus uniformly
-    chosen extra edges. Same (order, edge_budget, seed) gives the same
-    adjacency.
+    chosen extra edges. The extra edges are drawn as positions among the
+    spare pairs, the pairs (u, v), u < v < order, outside the tree in
+    lexicographic order, so no list of those pairs is built. Same
+    (order, edge_budget, seed) gives the same adjacency.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -180,36 +180,12 @@ def gen_random_connected(order: int, edge_budget: int, seed: int) -> Graph:
         edges.add((u, v))
     extra = edge_budget - (order - 1)
     if extra:
-        edges.update(rng.sample(_SparePairs(order, edges), extra))
-    return Graph(order, _sorted_adjacency(order, edges), [str(i) for i in range(order)])
-
-
-class _SparePairs(Sequence):
-    """The pairs (u, v), u < v < order, outside tree, in lexicographic
-    order, without a list of them. rng.sample either iterates a small
-    population or reads the k items it picks by index (0 <= i < len),
-    so it draws the same pairs from this view as from the list."""
-
-    def __init__(self, order: int, tree: set):
-        self.order, self.tree = order, tree
-
-    def __len__(self) -> int:
-        return self.order * (self.order - 1) // 2 - len(self.tree)
-
-    def __iter__(self):
-        tree = self.tree
-        return (e for e in combinations(range(self.order), 2) if e not in tree)
-
-    @cached_property
-    def _index(self) -> tuple[list[int], list[int]]:
         # pair (u, v) is at rows[u] + v - u - 1 among all pairs, and the
         # i-th spare pair has bisect_right(before, i) tree pairs before it
-        rows = list(accumulate(range(self.order - 1, 0, -1), initial=0))
-        taken = sorted([rows[u] + v - u - 1 for u, v in self.tree])
-        return rows, [t - k for k, t in enumerate(taken)]
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        rows, before = self._index
-        p = i + bisect_right(before, i)
-        u = bisect_right(rows, p) - 1
-        return u, p - rows[u] + u + 1
+        rows = list(accumulate(range(order - 1, 0, -1), initial=0))
+        before = [t - k for k, t in enumerate(sorted([rows[u] + v - u - 1 for u, v in edges]))]
+        for i in rng.sample(range(max_edges - len(edges)), extra):
+            p = i + bisect_right(before, i)
+            u = bisect_right(rows, p) - 1
+            edges.add((u, p - rows[u] + u + 1))
+    return Graph(order, _sorted_adjacency(order, edges), [str(i) for i in range(order)])

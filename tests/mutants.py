@@ -42,6 +42,7 @@ TRANSFORMS = "src/closegraph/transforms.py"
 GENERATORS = "src/closegraph/generators.py"
 VULNERABILITY = "src/closegraph/vulnerability.py"
 KERNEL_TESTS = "tests/test_closeness_kernel.py"
+GENERATOR_TESTS = "tests/test_generators.py"
 GRAPH_TESTS = "tests/test_graph.py"
 GUARD = "tests/test_trusted_construction.py"
 VULN_TESTS = "tests/test_vulnerability.py"
@@ -182,6 +183,26 @@ MUTANTS = (
         "            del adj[0][0], adj[-1][-1]\n"
         "            adj[1:-1] = [[i + 1, i - 1] for i in range(1, n - 1)]\n",
         (f"{GUARD}::test_every_family_builds_what_from_edges_builds",),
+    ),
+    # random connected graphs: each sampled position maps to its spare
+    # pair (on ints, bisect_right(a, x - 1) is bisect_left(a, x))
+    Mutant(
+        "tree-pairs-before-by-bisect-left", GENERATORS,
+        "            p = i + bisect_right(before, i)\n",
+        "            p = i + bisect_right(before, i - 1)\n",
+        (f"{GENERATOR_TESTS}::test_random_connected_draws_what_listing_drew",),
+    ),
+    Mutant(
+        "row-by-bisect-left", GENERATORS,
+        "            u = bisect_right(rows, p) - 1\n",
+        "            u = bisect_right(rows, p - 1) - 1\n",
+        (f"{GENERATOR_TESTS}::test_random_connected_draws_what_listing_drew",),
+    ),
+    Mutant(
+        "tree-pair-position-off-by-one", GENERATORS,
+        "[rows[u] + v - u - 1 for u, v in edges]",
+        "[rows[u] + v - u for u, v in edges]",
+        (f"{GENERATOR_TESTS}::test_random_connected_draws_what_listing_drew",),
     ),
     Mutant(
         "bridge-join-mutates-its-input", TRANSFORMS,

@@ -7,7 +7,6 @@ from itertools import combinations
 
 import pytest
 
-from closegraph import generators
 from closegraph.generators import (
     FAMILIES,
     FamilySpec,
@@ -211,9 +210,10 @@ def _random_connected_by_listing(order, edge_budget, seed):
 
 
 def _budgets(order):
-    """Tree, one extra edge, a few extra (rng.sample reads the pairs it
-    picks by index), most pairs (it iterates them), complete less one,
-    complete."""
+    """Tree, one extra edge, a few extra, most pairs, complete less one,
+    complete. From order 20 on, a few extra steer rng.sample into its
+    set selection and most pairs into its pool selection, which draw
+    different positions."""
     top = order * (order - 1) // 2
     picks = {order - 1, order, order + 4, (order - 1 + top) // 2, top - 1, top}
     return sorted(b for b in picks if order - 1 <= b <= top)
@@ -241,9 +241,9 @@ def test_random_connected_lists_no_spare_pairs(budget):
     assert peak < 8 * 1024 * 1024
 
 
-def test_random_connected_tree_builds_no_view(monkeypatch):
+def test_random_connected_tree_samples_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a tree budget built the view of spare pairs")
+        raise AssertionError("a tree budget sampled spare pairs")
 
-    monkeypatch.setattr(generators, "_SparePairs", refuse)
+    monkeypatch.setattr(random.Random, "sample", refuse)
     assert gen_random_connected(50, 49, seed=0).edge_count == 49
