@@ -42,7 +42,8 @@ MAX_ORDER = 100_000
 # scan is shared by all of a block's bits, so wider blocks mean fewer
 # scans; a list of balls, one block bitset per vertex, then holds about
 # n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB, and _levels holds at most
-# three: the balls before a level, after it and being built. Graphs up to
+# three: the balls before a level, after it and being built, and on a line
+# graph one hub per clique of its cover besides. Graphs up to
 # n = 5792 run all their sources as one block; from n = 32768 on, blocks
 # are _BLOCK wide and a list takes n * _BLOCK / 8 bytes (about 12 MiB at
 # MAX_ORDER).
@@ -75,9 +76,9 @@ class Graph:
     kernel pulls through (_levels), set only by transforms.line_graph:
     (cliques, scan), where cliques[c] lists clique c's members and
     scan[v] is v's neighbours outside its cliques, sorted, then the hub
-    order + c of each clique c of v. On a pull, hub order + c holds the
-    OR of clique c's members' balls, so scan[v] reaches every neighbour
-    of v. Equality, edges and output ignore it.
+    order + c of each clique c of v. On each level, hub order + c holds
+    the OR of clique c's members' balls, so scan[v] reaches every
+    neighbour of v. Equality, edges and output ignore it.
     """
 
     __slots__ = ("order", "adj", "labels", "_cover", "__weakref__")
@@ -200,118 +201,92 @@ def _width(n: int) -> int:
     return max(_BLOCK, _BLOCK_BITS // (n or 1))
 
 
-def _pulls(push: int, pull: int) -> bool:
-    """Whether a level of _levels pulls rather than pushes, given the
-    adjacency entries each would scan: pull on ties."""
-    return pull <= push
-
-
 def _levels(adj: list[list[int]], ball: list[int], full: int, keep=None, gates=None, cover=None):
     """The level loop of the bitset BFS traversals below (multi-source
     bit-parallel BFS; Then et al., PVLDB 2014), one bit per BFS.
 
     adj is symmetric, ball[v] holds the bits that start at v, as the
-    caller seeds them, and full every bit. Level k builds the next balls,
-    each vertex's own ORed with its neighbours', so that ball[v] holds
-    the bits within distance k of v, and yields (old, ball, grown): the
-    balls before and after it and the vertices whose ball grew, so that
-    ball[v] ^ old[v] are the bits at distance k from v. keep, if given,
-    maps a vertex to the only bits its ball may hold, so that it never
-    forwards the others; gates maps edges (u, w) that adj leaves out to
-    the bits that may cross them from u to w; cover is a clique cover of
-    adj (Graph._cover) that pulls read through.
+    caller seeds them, and full every bit. Level k pulls: it ORs each
+    vertex's neighbours' balls into its own, so that ball[v] holds the
+    bits within distance k of v, and yields (old, ball), the balls before
+    and after it, so that ball[v] ^ old[v] are the bits at distance k
+    from v. keep, if given, maps a vertex to the only bits its ball may
+    hold, so that it never forwards the others; gates maps edges (u, w)
+    that adj leaves out to the bits that may cross them from u to w:
+    ball[u] & bits joins w's next ball. Gates and keep masks apply after
+    the pull. cover is a clique cover of adj (Graph._cover) that the pull
+    reads instead: each level first ORs each clique's members' balls into
+    one hub int, at[order + c], and a vertex then reads its scan list, one
+    int per clique of its own, so a clique of q members costs about 2q
+    entries a level instead of q(q - 1).
 
-    A vertex is pending until its ball holds every bit it may (full, or
-    its keep mask), not merely until its ball stops growing: a block may
-    hold sources at distances 1 and 3 from it and none at 2. The loop
-    ends on the first level on which no ball grows, unyielded.
+    The loop ends, unyielded, on the first level on which no ball grows,
+    never merely because one ball did not: a block may hold sources at
+    distances 1 and 3 from a vertex and none at 2. It also ends once every
+    ball is full.
 
-    A level goes in one of two directions (direction-optimizing BFS;
-    Beamer, Asanovic & Patterson, SC 2012), whichever scans fewer entries,
-    by _pulls: push ORs each grown vertex's new bits, ball ^ old, into
-    its neighbours, scanning the grown vertices' degrees; pull ORs, for
-    each pending vertex, its neighbours' balls into its own, scanning
-    those vertices' degrees. Both counts are exact: a plain pull keeps
-    them as it goes, the push count as the degrees of the vertices not
-    done less those that do not grow; after gates (ball[u] & open crosses
-    (u, w)), keep masks or a push, they are counted afresh.
-
-    With a cover, a pull first ORs each clique's members' balls into one
-    hub int, at[order + c], and each pending vertex then scans its scan
-    list, reading each of its cliques as one int. A clique of q members
-    costs about 2q entries a level (q to build its hub, about q to read
-    it) instead of q(q - 1), fewer once q >= 4, and the pull count
-    includes the hub builds. Pushes scan adj: f grown members of a clique
-    cost f(q - 1) entries there, and line graphs mostly pull.
+    The pull reads live lists: (v, x) and (v, x, y) tuples for scan lists
+    of one and two entries, which need no inner loop, and the vertices
+    with longer ones. A vertex whose ball is full leaves them when they are
+    rebuilt, once more than half of their vertices have filled, so the
+    rebuilds cost O(n) in all; a rebuild also drops the cliques with no
+    live member, whose hubs no live vertex reads, and renumbers the
+    others' hubs. No per-vertex state is kept between rebuilds.
     """
     n = len(adj)
-    degree = list(map(len, adj))  # entries a push scans
-    cost, scan = degree, adj  # entries a pull scans, and the lists it scans
-    hub_cost = 0
-    if cover:
-        cliques, scan = cover
-        cost = list(map(len, scan))
-        hub_cost = sum(map(len, cliques))
-    done = [keep.get(v, full) for v in range(n)] if keep else [full] * n  # what balls may hold
-    pending = [v for v in range(n) if ball[v] != done[v]]
-    pull = sum(map(cost.__getitem__, pending)) + hub_cost
-    live = sum(map(degree.__getitem__, pending))  # the degrees of the vertices not done
-    finished = False  # whether a pending vertex is done since pending was built
-    grown = [v for v in range(n) if ball[v]]
-    push = sum(map(degree.__getitem__, grown))
-    old = [0] * n
-    while grown:
-        new = ball[:]
-        pulled = _pulls(push, pull)
-        if pulled:
-            if finished:
-                pending = [v for v in pending if ball[v] != done[v]]
-                finished = False
-            at = ball
-            if cover:
-                at = ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in cliques]
-            grown = []
-            push = live  # less the vertices not done that do not grow
-            for v in pending:
-                acc = b = ball[v]
-                for w in scan[v]:
-                    acc |= at[w]
-                if acc != b:
-                    new[v] = acc
-                    grown.append(v)
-                    if acc == full:
-                        pull -= cost[v]
-                        live -= degree[v]
-                        finished = True
-                else:
-                    push -= degree[v]
-        else:
-            for u in grown:
-                bits = ball[u] ^ old[u]
-                for w in adj[u]:
-                    new[w] |= bits
-        if gates:
-            for (u, w), bits in gates.items():
-                new[w] |= ball[u] & bits
-        if keep:
-            for x, mask in keep.items():
-                new[x] &= mask
-        if gates or keep or not pulled:  # count afresh after gates, masks or a push
-            grown = [v for v in pending if new[v] != ball[v]]
-            pending = [v for v in pending if new[v] != done[v]]
-            pull = sum(map(cost.__getitem__, pending)) + hub_cost
-            live = sum(map(degree.__getitem__, pending))
-            push = sum(map(degree.__getitem__, grown))
-            finished = False
-        old, ball = ball, new
-        if grown:
-            yield old, ball, grown
+    cliques, scan = cover or ((), adj)
+    live, hubs, entries = range(n), cliques, scan
+    while True:
+        ones, twos, more = [], [], []
+        for v in live:
+            e = entries[v]
+            if len(e) == 1:
+                ones.append((v, *e))
+            elif len(e) == 2:
+                twos.append((v, *e))
+            elif e:
+                more.append(v)
+        while True:
+            new = ball[:]
+            at = ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in hubs] if hubs else ball
+            for v, x in ones:
+                new[v] |= at[x]
+            for v, x, y in twos:
+                new[v] |= at[x] | at[y]
+            for v in more:
+                acc = new[v]
+                for x in entries[v]:
+                    acc |= at[x]
+                new[v] = acc
+            if gates:
+                for (u, w), bits in gates.items():
+                    new[w] |= ball[u] & bits
+            if keep:
+                for x, mask in keep.items():
+                    new[x] &= mask
+            if new == ball:
+                return
+            old, ball = ball, new
+            yield old, ball
+            # every vertex is live until the first rebuild
+            filled = (ball if len(live) == n else list(map(ball.__getitem__, live))).count(full)
+            if 2 * filled > len(live):
+                break
+        live = [v for v in live if ball[v] != full]
+        if not live:
+            return
+        if cliques:  # hub order + c of a clique c with a live member becomes order + its rank
+            kept = sorted({x for v in live for x in scan[v] if x >= n})
+            rank = dict(zip(kept, range(n, n + len(kept))))
+            hubs = [cliques[x - n] for x in kept]
+            entries = {v: [rank.get(x, x) for x in scan[v]] for v in live}
 
 
 def _source_levels(g: Graph):
-    """Per block of _width(n) vertices of g, the run of _levels over g.adj
-    and g._cover from them as sources, one bit each: on level k, v's ball
-    holds the block's sources within distance k of v."""
+    """Per block of _width(n) vertices of g, the run of _levels from them
+    as sources, one bit each, through g._cover when g has one: the run
+    yields (old, ball) per level, and on level k, v's ball holds the
+    block's sources within distance k of v."""
     n = g.order
     width = _width(n)
     for lo in range(0, n, width):
@@ -328,14 +303,14 @@ def _balls(adj: list[list[int]]) -> list[list[int]]:
     One run of _levels from every vertex at once, one bit per source,
     always in one block: by symmetry, the sources within distance k of v
     are the vertices within distance k of v, so v's balls are the balls
-    of its levels, kept on each level that grows it. That holds n balls
-    of n bits per vertex at most, about n**3 / 8 bytes.
+    of its levels, kept on each level on which ball[v] != old[v]. That
+    holds n balls of n bits per vertex at most, about n**3 / 8 bytes.
     """
     n = len(adj)
     seed = [1 << v for v in range(n)]
     balls = [[bits] for bits in seed]
-    for _, ball, grown in _levels(adj, seed, (1 << n) - 1):
-        for v in grown:
+    for old, ball in _levels(adj, seed, (1 << n) - 1):
+        for v in itertools.compress(range(n), map(operator.ne, ball, old)):
             balls[v].append(ball[v])
     return balls
 
@@ -360,7 +335,7 @@ def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
     enter its ball and it never forwards them.
     Lane sums are kept bit-sliced: plane p holds bit p of every lane's
     sum. Each level first counts, per lane, the vertices it is new at
-    (ball[v] ^ old[v] at each grown v), in a small bit-sliced counter of
+    (each nonzero ball[v] ^ old[v]), in a small bit-sliced counter of
     its own, so that carries stay short;
     the count c of level k then adds c * 2**(top - k), from plane top - k
     on. An edit's sum is then the popcounts of its lanes in each plane,
@@ -399,10 +374,10 @@ def _deletion_sums(adj: list[list[int]], edits) -> list[int]:
         for u in {u for u, _ in gates}:
             scan[u] = [w for w in adj[u] if (u, w) not in gates]
         acc = [0] * height  # the planes of the lane sums
-        for k, (old, ball, grown) in enumerate(_levels(scan, start, full, keep, gates), 1):
+        for k, (old, ball) in enumerate(_levels(scan, start, full, keep, gates), 1):
             count = [0] * low  # this level's
-            for v in grown:
-                p, c = 0, ball[v] ^ old[v]
+            for c in filter(None, map(operator.xor, ball, old)):
+                p = 0
                 while c:
                     q = count[p]
                     count[p] = q ^ c
@@ -430,7 +405,8 @@ def graph_closeness(g: Graph) -> ClosenessReport:
     """Per-vertex closenesses and the graph total, by multi-source BFS
     from every vertex (_source_levels): by symmetry, the sources that v's
     ball gains on level k, ball[v] ^ old[v], count the vertices at
-    distance k from v. v's closeness is num[v] / 2**depth[v], depth[v]
+    distance k from v; only the vertices with ball[v] != old[v] are
+    visited. v's closeness is num[v] / 2**depth[v], depth[v]
     its deepest level so far: a deeper level shifts num[v] up to it and
     adds its count (Horner's rule); a level no deeper, which only a later
     block brings, adds its count shifted up to depth[v]."""
@@ -438,8 +414,8 @@ def graph_closeness(g: Graph) -> ClosenessReport:
     num = [0] * n
     depth = [0] * n
     for levels in _source_levels(g):
-        for k, (old, ball, grown) in enumerate(levels, 1):
-            for v in grown:
+        for k, (old, ball) in enumerate(levels, 1):
+            for v in itertools.compress(range(n), map(operator.ne, ball, old)):
                 c = (ball[v] ^ old[v]).bit_count()
                 d = depth[v]
                 if k > d:
@@ -467,7 +443,7 @@ def _total_closeness(g: Graph) -> Dyadic:
     for lo, levels in zip(range(0, n, width), _source_levels(g)):
         seen = min(width, n - lo)
         num = deepest = 0
-        for deepest, (_, ball, _) in enumerate(levels, 1):
+        for deepest, (_, ball) in enumerate(levels, 1):
             size = sum(map(int.bit_count, ball))
             num = (num << 1) + size - seen
             seen = size

@@ -50,71 +50,48 @@ VULN_TESTS = "tests/test_vulnerability.py"
 MUTANTS = (
     # the level loop, graph._levels
     Mutant(
-        "push-only", GRAPH,
-        "    return pull <= push\n",
-        "    return False\n",
-        (f"{KERNEL_TESTS}::test_all_sources_pull",),
-    ),
-    Mutant(
-        "pull-only", GRAPH,
-        "    return pull <= push\n",
-        "    return True\n",
-        (f"{KERNEL_TESTS}::test_deletion_lanes_of_one_source_on_a_long_path_push",),
-    ),
-    Mutant(
         "gate-bits-a-level-late", GRAPH,
-        "                new[w] |= ball[u] & bits\n",
-        "                new[w] |= old[u] & bits\n",
+        "                    new[w] |= ball[u] & bits\n",
+        "                    new[w] |= old[u] & bits\n",
         (f"{KERNEL_TESTS}::test_deletion_lanes_on_a_theta_pull",),
     ),
     Mutant(
-        "gate-growth-not-seen-on-a-pull", GRAPH,
-        "        if gates or keep or not pulled:",
-        "        if keep or not pulled:",
-        (f"{KERNEL_TESTS}::test_each_direction_alone_matches_the_references",),
+        "gates-read-the-next-ball", GRAPH,
+        "                    new[w] |= ball[u] & bits\n",
+        "                    new[w] |= new[u] & bits\n",
+        (f"{KERNEL_TESTS}::test_deletion_lanes_on_a_theta_pull",),
     ),
     Mutant(
-        "pull-count-never-lowered", GRAPH,
-        "                        pull -= cost[v]\n",
-        "                        pull -= 0\n",
-        (f"{KERNEL_TESTS}::test_balls_pull", f"{KERNEL_TESTS}::test_all_sources_pull"),
-    ),
-    Mutant(
-        "pull-count-kept-after-a-push", GRAPH,
-        "            pull = sum(map(cost.__getitem__, pending)) + hub_cost\n",
-        "",
-        (f"{KERNEL_TESTS}::test_one_lane_on_a_long_path_pulls_once_the_path_has_seen_it",),
-    ),
-    Mutant(
-        "push-count-keeps-stalled-vertices", GRAPH,
-        "                    push -= degree[v]\n",
-        "                    push -= 0\n",
-        (f"{KERNEL_TESTS}::test_balls_of_a_path_beside_a_clique_push",
-         f"{KERNEL_TESTS}::test_direction_counts_are_exact"),
-    ),
-    Mutant(
-        "live-degrees-never-lowered", GRAPH,
-        "                        live -= degree[v]\n",
-        "                        live -= 0\n",
-        (f"{KERNEL_TESTS}::test_direction_counts_are_exact",),
-    ),
-    Mutant(
-        "pending-drops-a-vertex-that-did-not-grow", GRAPH,
-        "                pending = [v for v in pending if ball[v] != done[v]]\n",
-        "                pending = [v for v in grown if ball[v] != done[v]]\n",
-        (f"{KERNEL_TESTS}::test_a_ball_that_skips_a_level_stays_pending",),
-    ),
-    Mutant(
-        "push-sends-the-old-ball", GRAPH,
-        "                bits = ball[u] ^ old[u]\n",
-        "                bits = old[u]\n",
-        (f"{KERNEL_TESTS}::test_each_direction_alone_matches_the_references",),
+        "gate-growth-not-seen", GRAPH,
+        "            if gates:\n",
+        "            if new == ball:\n                return\n            if gates:\n",
+        (f"{KERNEL_TESTS}::test_levels_yield_the_balls_of_each_distance",),
     ),
     Mutant(
         "cut-vertex-forwards-its-own-lanes", GRAPH,
-        "                new[x] &= mask\n",
-        "                new[x] &= full\n",
+        "                    new[x] &= mask\n",
+        "                    new[x] &= full\n",
         (f"{KERNEL_TESTS}::test_a_cut_vertex_never_takes_its_own_lanes",),
+    ),
+    Mutant(
+        "two-entry-tuple-ors-its-first-entry-only", GRAPH,
+        "                new[v] |= at[x] | at[y]\n",
+        "                new[v] |= at[x]\n",
+        (f"{KERNEL_TESTS}::test_all_sources_pull",),
+    ),
+    Mutant(
+        "loop-stops-when-a-ball-stalls", GRAPH,
+        "            yield old, ball\n",
+        "            yield old, ball\n"
+        "            if any(map(operator.eq, ball, old)):\n"
+        "                return\n",
+        (f"{KERNEL_TESTS}::test_a_ball_that_skips_a_level_stays_pending",),
+    ),
+    Mutant(
+        "live-filter-keeps-only-full-vertices", GRAPH,
+        "        live = [v for v in live if ball[v] != full]\n",
+        "        live = [v for v in live if ball[v] == full]\n",
+        (f"{KERNEL_TESTS}::test_live_lists_rebuilt_in_every_block_of_a_disconnected_graph",),
     ),
     Mutant(
         "later-block-added-unshifted", GRAPH,
@@ -213,24 +190,28 @@ MUTANTS = (
     # line graphs read through their clique cover, and totals by level counts
     Mutant(
         "pull-skips-hub-reads", GRAPH,
-        "                for w in scan[v]:\n                    acc |= at[w]\n",
-        "                for w in scan[v]:\n                    if w < len(adj):\n"
-        "                        acc |= at[w]\n",
+        "ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in hubs]",
+        "ball + [0] * len(hubs)",
         (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
     ),
     Mutant(
         "hub-keeps-one-member", GRAPH,
-        "[reduce(operator.or_, map(ball.__getitem__, c)) for c in cliques]",
-        "[ball[c[0]] for c in cliques]",
+        "[reduce(operator.or_, map(ball.__getitem__, c)) for c in hubs]",
+        "[ball[c[0]] for c in hubs]",
         (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
     ),
     Mutant(
         "hub-read-from-the-next-level", GRAPH,
-        "                    new[v] = acc\n",
-        "                    new[v] = acc\n"
-        "                    for h in scan[v] if cover else ():\n"
-        "                        at[h] |= acc if h >= n else 0\n",
+        "                new[v] |= at[x] | at[y]\n",
+        "                new[v] |= at[x] | at[y]\n"
+        "                at[y] |= new[v] if y >= n else 0\n",
         (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+    ),
+    Mutant(
+        "dropped-hubs-not-renumbered", GRAPH,
+        "[rank.get(x, x) for x in scan[v]]",
+        "scan[v]",
+        (f"{KERNEL_TESTS}::test_cover_and_totals_across_block_boundaries",),
     ),
     Mutant(
         "hubs-miss-one-endpoint-star", TRANSFORMS,

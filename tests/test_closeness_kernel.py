@@ -216,80 +216,71 @@ def test_deletion_sums_without_sources_build_nothing(monkeypatch):
     assert graph._deletion_sums(g.adj, [(0, []), ((1, 2), [])]) == [0, 0]
 
 
-# -- the traps of a ball loop: a vertex stays pending until its ball is full
-# (under its keep mask), and the loop ends only on a level with no growth ------
-
-def _force(monkeypatch, direction):
-    """Every level of _levels from here on one way, unless direction is None."""
-    if direction is not None:
-        monkeypatch.setattr(graph, "_pulls", lambda push, pull: direction == "pull")
-
-
-DIRECTIONS = pytest.mark.parametrize("direction", [None, "push", "pull"])
+# -- the traps of a ball loop: a vertex stays live until its ball is full, and
+# the loop ends only on a level with no growth ---------------------------------
 
 # vertex 2 is at distance 1 from source 0 and at distance 3 from source 1:
 # in blocks of two sources, its ball does not grow on level 2 of the first
 GAP = build(5, [(0, 2), (2, 3), (3, 4), (4, 1)])
 
 
-@DIRECTIONS
-def test_a_ball_that_skips_a_level_stays_pending(monkeypatch, direction):
+def test_a_ball_that_skips_a_level_stays_pending(monkeypatch):
     monkeypatch.setattr(graph, "_width", lambda n: 2)
-    grows = [2 in grown for _, _, grown in next(graph._source_levels(GAP))]
+    grows = [ball[2] != old[2] for old, ball in next(graph._source_levels(GAP))]
     assert grows[:3] == [True, False, True]
     want = _canonical(closeness_reference.graph_closeness(GAP))
-    _force(monkeypatch, direction)
     assert _canonical(graph_closeness(GAP)) == want
     assert graph._total_closeness(GAP).canonical() == want[1]
 
 
-@DIRECTIONS
-def test_a_disconnected_graph_ends_when_no_ball_grows(monkeypatch, direction):
+def test_a_disconnected_graph_ends_when_no_ball_grows():
     """No ball of a path beside a triangle and an isolated vertex ever
     holds every source."""
     g = build(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
     edits = [(2, [0, 1, 3, 8]), ((5, 6), [5, 7]), ((0, 1), [0, 4, 6])]
     want = _reference_deletion_sums(g.adj, edits)
-    _force(monkeypatch, direction)
     assert_matches_reference(g)
     assert graph._total_closeness(g) == graph_closeness(g).total
     assert graph._balls(g.adj) == _reference_balls(g)
     assert graph._deletion_sums(g.adj, edits) == want
 
 
-@DIRECTIONS
-def test_a_cut_vertex_never_takes_its_own_lanes(monkeypatch, direction):
+def test_a_cut_vertex_never_takes_its_own_lanes():
     """Vertex 2 of a path is cut with sources on both sides, so its own
     lanes must neither reach it nor cross it; the lanes of the edge cut
     beside it start at 2 and must leave it."""
     g = generate(FamilySpec("path", 5))
     edits = [(2, [0, 1, 3, 4]), ((0, 1), [2]), (0, [2, 4])]
-    want = _reference_deletion_sums(g.adj, edits)
-    _force(monkeypatch, direction)
-    assert graph._deletion_sums(g.adj, edits) == want
+    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits)
 
 
-@DIRECTIONS
-def test_a_cut_edge_is_crossed_the_long_way_round(monkeypatch, direction):
+def test_a_cut_edge_is_crossed_the_long_way_round():
     """On a 6-cycle less the edge (0, 1), the lanes from 0 reach 1 at
     distance 5, by the other side of the cycle."""
     g = generate(FamilySpec("cycle", 6))
     edits = [((0, 1), [0, 1, 3]), ((2, 3), [0])]
+    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits)
+
+
+def test_live_lists_rebuilt_in_every_block_of_a_disconnected_graph(monkeypatch):
+    """Deletions on a 10-cycle with a pendant path of four, beside a
+    triangle and an isolated vertex, in blocks of five lanes. Every lane
+    starts on the cycle, and the cut leaf and cut cycle edges leave the
+    rest of that component reachable by every lane, so in each block at
+    least its 13 other vertices fill, more than half of the 18, and the
+    live lists are rebuilt; the triangle and the isolated vertex never fill, so the
+    loop still ends on a level with no growth, with the cut leaf's keep
+    mask and the cut edges' gates applied on every level."""
+    cycle_edges = [(v, (v + 1) % 10) for v in range(10)]
+    g = build(18, cycle_edges + [(0, 10), (10, 11), (11, 12), (12, 13), (14, 15), (15, 16), (14, 16)])
+    edits = [(13, [0, 3, 5, 12]), ((2, 3), [1, 2, 7]), ((0, 9), [0, 9, 11]), (13, [4, 8])]
     want = _reference_deletion_sums(g.adj, edits)
-    _force(monkeypatch, direction)
+    monkeypatch.setattr(graph, "_width", lambda n: 5)
     assert graph._deletion_sums(g.adj, edits) == want
 
 
-# -- the two directions of _levels: each traversal pushes and pulls ------------
-
-def _directions(monkeypatch):
-    """The directions _levels takes from here on, True for a pull, recorded
-    by wrapping its rule."""
-    taken = []
-    rule = graph._pulls
-    monkeypatch.setattr(graph, "_pulls", lambda push, pull: taken.append(rule(push, pull)) or taken[-1])
-    return taken
-
+# -- the hard cases of a pull-only loop: single lanes on a long path, a path
+# beside a clique, a theta graph and a cut cycle -----------------------------
 
 def _theta(*lengths):
     """Paths of the given numbers of edges between vertices 0 and 1."""
@@ -304,37 +295,26 @@ def _theta(*lengths):
 LONG_PATH = generate(FamilySpec("path", 40))
 DENSE = gen_random_connected(24, 200, seed=3)
 # a path beside a clique: the clique's vertices never see the path's bits,
-# so they keep the pull count high while the frontier runs along the path
+# so they stay live while the bits run along the path
 PATH_AND_CLIQUE = build(42, [(i, i + 1) for i in range(29)]
                         + list(itertools.combinations(range(30, 42), 2)))
 
 
-def test_balls_of_a_path_beside_a_clique_push(monkeypatch):
-    taken = _directions(monkeypatch)
-    balls = graph._balls(PATH_AND_CLIQUE.adj)
-    assert taken[2:] == [False] * (len(taken) - 2) and len(taken) == 30
-    assert balls == _reference_balls(PATH_AND_CLIQUE)
+def test_balls_of_a_path_beside_a_clique():
+    assert graph._balls(PATH_AND_CLIQUE.adj) == _reference_balls(PATH_AND_CLIQUE)
 
 
-def test_deletion_lanes_of_one_source_on_a_long_path_push(monkeypatch):
+def test_deletion_lanes_of_one_source_on_a_long_path():
     edits = [(20, [0]), ((5, 6), [0]), (39, [0, 1])]
-    want = _reference_deletion_sums(LONG_PATH.adj, edits)
-    taken = _directions(monkeypatch)
-    got = graph._deletion_sums(LONG_PATH.adj, edits)
-    assert taken[:-2] == [False] * (len(taken) - 2) and len(taken) == 39
-    assert got == want
+    assert graph._deletion_sums(LONG_PATH.adj, edits) == _reference_deletion_sums(LONG_PATH.adj, edits)
 
 
-def test_one_lane_on_a_long_path_pulls_once_the_path_has_seen_it(monkeypatch):
-    """One lane from the first vertex of a path, its last vertex cut:
-    each push level lowers the pull count by the degree of the vertex the
-    lane reaches, until pull is the cheaper direction for the last two."""
+def test_one_lane_on_a_long_path():
+    """One lane from the first vertex of a path, its last vertex cut: a
+    vertex fills on the level the lane reaches it, so the live lists are
+    rebuilt again and again, while the cut vertex never fills."""
     edits = [(39, [0])]
-    want = _reference_deletion_sums(LONG_PATH.adj, edits)
-    taken = _directions(monkeypatch)
-    got = graph._deletion_sums(LONG_PATH.adj, edits)
-    assert taken == [False] * 37 + [True, True]
-    assert got == want
+    assert graph._deletion_sums(LONG_PATH.adj, edits) == _reference_deletion_sums(LONG_PATH.adj, edits)
 
 
 def _cut_cycle():
@@ -347,9 +327,45 @@ def _cut_cycle():
     return adj, [1, 0, 2, 0, 0, 4], 0b111, {3: 0b101}, gates, None
 
 
+def _gated_bridge():
+    """The path 0-1-2 whose edge (1, 2) is open to lane 1 only, with lanes
+    0 and 1 starting at 0: on level 2 only the gate grows a ball."""
+    return [[1], [0], []], [0b11, 0, 0], 0b11, None, {(1, 2): 0b10, (2, 1): 0b10}, None
+
+
 def _from_every_vertex(g):
     n = g.order
     return g.adj, [1 << v for v in range(n)], (1 << n) - 1, None, None, g._cover
+
+
+def _reference_levels(adj, seed, full, keep, gates):
+    """The balls before the first level and after each level of _levels,
+    from one BFS per bit: bit i starts at the vertices seeded with it,
+    crosses a gated edge (u, w) from u to w only if the gate holds it, and
+    never enters a vertex whose keep mask lacks it."""
+    n = len(adj)
+    keep, gates = keep or {}, gates or {}
+    dist = []
+    for i in range(full.bit_length()):
+        bit = 1 << i
+        nbrs = [list(a) for a in adj]
+        for (u, w), bits in gates.items():
+            if bits & bit:
+                nbrs[u].append(w)
+        frontier = [v for v in range(n) if seed[v] & bit]
+        d = dict.fromkeys(frontier, 0)
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if w not in d and keep.get(w, full) & bit:
+                        d[w] = d[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        dist.append(d)
+    depth = max((k for d in dist for k in d.values()), default=0)
+    return [[sum(1 << i for i, d in enumerate(dist) if d.get(v, depth + 1) <= k) for v in range(n)]
+            for k in range(depth + 1)]
 
 
 @pytest.mark.parametrize("run", [
@@ -357,74 +373,46 @@ def _from_every_vertex(g):
     _from_every_vertex(generate(FamilySpec("lollipop", 6, 10))),
     _from_every_vertex(_union(generate(FamilySpec("tadpole", 5, 6)), generate(FamilySpec("star", 4)))),
     _from_every_vertex(line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]),
-    _cut_cycle(),
-], ids=["dense", "path", "path-and-clique", "lollipop", "union", "line-lollipop", "cut-cycle"])
-def test_direction_counts_are_exact(monkeypatch, run):
-    """The counts _pulls weighs before each level, recounted from the
-    yielded balls: push, the degrees of the vertices that grew on the last
-    level (the seeded ones first); pull, the scanned entries of the
-    vertices whose ball does not yet hold all it may, plus a cover's hub
-    builds."""
+    _cut_cycle(), _gated_bridge(),
+], ids=["dense", "path", "path-and-clique", "lollipop", "union", "line-lollipop", "cut-cycle",
+        "gated-bridge"])
+def test_levels_yield_the_balls_of_each_distance(run):
+    """Each level's balls against a BFS per bit, and the loop ends on the
+    last level on which a ball grows."""
     adj, seed, full, keep, gates, cover = run
-    calls = []
-    monkeypatch.setattr(graph, "_pulls", lambda push, pull: calls.append((push, pull)) or pull <= push)
-    scan = cover[1] if cover else adj
-    done = [keep.get(v, full) if keep else full for v in range(len(adj))]
-
-    def counts(ball, grown):
-        return (sum(len(adj[v]) for v in grown),
-                sum(len(scan[v]) for v, bits in enumerate(ball) if bits != done[v])
-                + sum(map(len, cover[0] if cover else [])))
-
-    want = [counts(seed, [v for v, bits in enumerate(seed) if bits])]
-    want += [counts(ball, grown) for _, ball, grown in graph._levels(adj, seed, full, keep, gates, cover)]
-    assert calls == want
-
-
-# from every vertex of a long path, each level's pull count is below its
-# push count only once the vertices that have seen all their bits leave it
-@pytest.mark.parametrize("g", [DENSE, LONG_PATH], ids=["dense", "path"])
-def test_all_sources_pull(monkeypatch, g):
-    taken = _directions(monkeypatch)
-    got = graph_closeness(g)
-    assert taken and all(taken)
-    assert _canonical(got) == _canonical(closeness_reference.graph_closeness(g))
+    got = [seed] + [ball for _, ball in graph._levels(adj, seed, full, keep, gates, cover)]
+    assert got == _reference_levels(adj, seed, full, keep, gates)
 
 
 @pytest.mark.parametrize("g", [DENSE, LONG_PATH], ids=["dense", "path"])
-def test_balls_pull(monkeypatch, g):
-    taken = _directions(monkeypatch)
-    balls = graph._balls(g.adj)
-    assert taken and all(taken)
-    assert balls == _reference_balls(g)
+def test_all_sources_pull(g):
+    assert _canonical(graph_closeness(g)) == _canonical(closeness_reference.graph_closeness(g))
 
 
-def test_deletion_lanes_on_a_theta_pull(monkeypatch):
+@pytest.mark.parametrize("g", [DENSE, LONG_PATH], ids=["dense", "path"])
+def test_balls_pull(g):
+    assert graph._balls(g.adj) == _reference_balls(g)
+
+
+def test_deletion_lanes_on_a_theta_pull():
     """Every vertex and every edge of a theta deleted in turn, with all
     other vertices as sources: the cut edges' lanes cross by gates."""
     g = _theta(2, 3, 4)
     edits = [(x, [v for v in range(g.order) if v != x]) for x in range(g.order)]
     edits += [(e, list(range(g.order))) for e in g.edges()]
-    want = _reference_deletion_sums(g.adj, edits)
-    taken = _directions(monkeypatch)
-    got = graph._deletion_sums(g.adj, edits)
-    assert taken and all(taken)
-    assert got == want
+    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits)
 
 
-@pytest.mark.parametrize("pull", [False, True], ids=["push", "pull"])
 @settings(max_examples=60, deadline=None)
 @given(case=graph_with_deletions())
-def test_each_direction_alone_matches_the_references(pull, case):
-    """Every level forced one way: the kernel, the balls and the deletion
-    sums (gates included) still match their references."""
+def test_kernel_balls_and_deletion_sums_match_the_references(case):
+    """On the shapes of graph_with_deletions: the kernel, the balls and the
+    deletion sums, gates included."""
     g, edits = case
-    want = _reference_deletion_sums(g.adj, edits)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_pulls", lambda push, pulled: pull)
-        assert_matches_reference(g)
-        assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
-        assert graph._deletion_sums(g.adj, edits) == want, (g.order, list(g.edges()), edits)
+    assert_matches_reference(g)
+    assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
+    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits), (
+        g.order, list(g.edges()), edits)
 
 
 # -- line graphs read through their clique cover, and totals read off level
@@ -503,15 +491,18 @@ def test_line_graphs_read_through_their_cover_match_plain_adjacency(g):
     assert graph._total_closeness(lg) == got.total
 
 
-@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("block", [None, 1, 3])
 @settings(max_examples=40, deadline=None)
 @given(g=HUB_GRAPHS)
 def test_cover_and_totals_across_block_boundaries(block, g):
+    """The per-vertex kernel and the totals on a line graph with its cover
+    against the per-source BFS, whole and in blocks of one and three."""
     lg = line_graph(g)[0]
     want = _canonical(closeness_reference.graph_closeness(lg))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_BLOCK", block)
-        mp.setattr(graph, "_BLOCK_BITS", 0)
+        if block is not None:
+            mp.setattr(graph, "_BLOCK", block)
+            mp.setattr(graph, "_BLOCK_BITS", 0)
         assert _canonical(graph_closeness(lg)) == want
         assert graph._total_closeness(lg).canonical() == want[1]
 
@@ -545,26 +536,9 @@ def test_line_graphs_of_stars_at_the_cover_boundary(leaves):
     assert list(map(_fraction, graph_closeness(lg).per_vertex)) == _oracle(lg)
 
 
-@pytest.mark.parametrize("pull", [False, True], ids=["push", "pull"])
-@settings(max_examples=60, deadline=None)
-@given(g=HUB_GRAPHS)
-def test_each_direction_alone_with_a_cover(pull, g):
-    """Every level forced one way on a line graph with its cover: the
-    per-vertex kernel and the totals still match the per-source BFS."""
-    lg = line_graph(g)[0]
-    want = _canonical(closeness_reference.graph_closeness(lg))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_pulls", lambda push, pulled: pull)
-        assert _canonical(graph_closeness(lg)) == want, (g.order, list(g.edges()))
-        assert graph._total_closeness(lg).canonical() == want[1]
-
-
-def test_line_graph_of_a_lollipop_pulls_through_its_cover(monkeypatch):
-    """Every level of L(lollipop 8, 12) pulls: a pull reads each clique
-    member's hub once, where adj would scan the whole clique."""
+def test_line_graph_of_a_lollipop_pulls_through_its_cover():
+    """A pull on L(lollipop 8, 12) reads each clique member's hub once,
+    where adj would scan the whole clique."""
     lg = line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]
     assert lg._cover is not None
-    taken = _directions(monkeypatch)
-    got = graph_closeness(lg)
-    assert taken and all(taken)
-    assert _canonical(got) == _canonical(closeness_reference.graph_closeness(lg))
+    assert _canonical(graph_closeness(lg)) == _canonical(closeness_reference.graph_closeness(lg))
