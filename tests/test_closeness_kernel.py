@@ -6,7 +6,9 @@ their clique cover against their plain adjacency; and the totals read off
 level counts against the per-vertex kernel."""
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -217,49 +219,102 @@ def test_deletion_sums_without_sources_build_nothing(monkeypatch):
 
 
 # -- the traps of a ball loop: a vertex stays live until its ball is full, and
-# the loop ends only on a level with no growth ---------------------------------
+# the loop ends only on a level with no growth; each is run on the kernel's
+# loop and, in its place, on a plain push loop and a plain pull loop ----------
+
+def _plain_levels(pull):
+    """A stand-in for graph._levels with its interface and none of its
+    shortcuts (no live lists, one pass over every vertex or every grown
+    vertex a level): each level pulls, ORing every vertex's neighbours'
+    balls into its own (through the cover's hubs, if given), or pushes,
+    ORing each vertex's bits that are new since the level before into its
+    neighbours; then gates and keep masks, as in _levels."""
+    def levels(adj, ball, full, keep=None, gates=None, cover=None):
+        cliques, scan = cover or ((), adj)
+        old = [0] * len(adj)
+        while True:
+            new = ball[:]
+            if pull:
+                at = ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in cliques]
+                for v, entries in enumerate(scan):
+                    for x in entries:
+                        new[v] |= at[x]
+            else:
+                for u, nbrs in enumerate(adj):
+                    for w in nbrs:
+                        new[w] |= ball[u] ^ old[u]
+            for (u, w), bits in (gates or {}).items():
+                new[w] |= ball[u] & bits
+            for x, mask in (keep or {}).items():
+                new[x] &= mask
+            if new == ball:
+                return
+            old, ball = ball, new
+            yield old, ball
+    return levels
+
+
+def _force(monkeypatch, direction):
+    """Every run of _levels from here on by the plain loop of that
+    direction, unless direction is None: the callers' readouts of
+    (old, ball) must not lean on how the kernel's loop builds the balls."""
+    if direction is not None:
+        monkeypatch.setattr(graph, "_levels", _plain_levels(direction == "pull"))
+
+
+DIRECTIONS = pytest.mark.parametrize("direction", [None, "push", "pull"])
 
 # vertex 2 is at distance 1 from source 0 and at distance 3 from source 1:
 # in blocks of two sources, its ball does not grow on level 2 of the first
 GAP = build(5, [(0, 2), (2, 3), (3, 4), (4, 1)])
 
 
-def test_a_ball_that_skips_a_level_stays_pending(monkeypatch):
+@DIRECTIONS
+def test_a_ball_that_skips_a_level_stays_pending(monkeypatch, direction):
     monkeypatch.setattr(graph, "_width", lambda n: 2)
     grows = [ball[2] != old[2] for old, ball in next(graph._source_levels(GAP))]
     assert grows[:3] == [True, False, True]
     want = _canonical(closeness_reference.graph_closeness(GAP))
+    _force(monkeypatch, direction)
     assert _canonical(graph_closeness(GAP)) == want
     assert graph._total_closeness(GAP).canonical() == want[1]
 
 
-def test_a_disconnected_graph_ends_when_no_ball_grows():
+@DIRECTIONS
+def test_a_disconnected_graph_ends_when_no_ball_grows(monkeypatch, direction):
     """No ball of a path beside a triangle and an isolated vertex ever
     holds every source."""
     g = build(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
     edits = [(2, [0, 1, 3, 8]), ((5, 6), [5, 7]), ((0, 1), [0, 4, 6])]
     want = _reference_deletion_sums(g.adj, edits)
+    _force(monkeypatch, direction)
     assert_matches_reference(g)
     assert graph._total_closeness(g) == graph_closeness(g).total
     assert graph._balls(g.adj) == _reference_balls(g)
     assert graph._deletion_sums(g.adj, edits) == want
 
 
-def test_a_cut_vertex_never_takes_its_own_lanes():
+@DIRECTIONS
+def test_a_cut_vertex_never_takes_its_own_lanes(monkeypatch, direction):
     """Vertex 2 of a path is cut with sources on both sides, so its own
     lanes must neither reach it nor cross it; the lanes of the edge cut
     beside it start at 2 and must leave it."""
     g = generate(FamilySpec("path", 5))
     edits = [(2, [0, 1, 3, 4]), ((0, 1), [2]), (0, [2, 4])]
-    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits)
+    want = _reference_deletion_sums(g.adj, edits)
+    _force(monkeypatch, direction)
+    assert graph._deletion_sums(g.adj, edits) == want
 
 
-def test_a_cut_edge_is_crossed_the_long_way_round():
+@DIRECTIONS
+def test_a_cut_edge_is_crossed_the_long_way_round(monkeypatch, direction):
     """On a 6-cycle less the edge (0, 1), the lanes from 0 reach 1 at
     distance 5, by the other side of the cycle."""
     g = generate(FamilySpec("cycle", 6))
     edits = [((0, 1), [0, 1, 3]), ((2, 3), [0])]
-    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits)
+    want = _reference_deletion_sums(g.adj, edits)
+    _force(monkeypatch, direction)
+    assert graph._deletion_sums(g.adj, edits) == want
 
 
 def test_live_lists_rebuilt_in_every_block_of_a_disconnected_graph(monkeypatch):
@@ -403,16 +458,20 @@ def test_deletion_lanes_on_a_theta_pull():
     assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits)
 
 
+@DIRECTIONS
 @settings(max_examples=60, deadline=None)
 @given(case=graph_with_deletions())
-def test_kernel_balls_and_deletion_sums_match_the_references(case):
-    """On the shapes of graph_with_deletions: the kernel, the balls and the
-    deletion sums, gates included."""
+def test_each_direction_alone_matches_the_references(direction, case):
+    """On the shapes of graph_with_deletions, by the kernel's loop and by
+    each plain loop alone: the kernel, the balls and the deletion sums
+    (gates included) match their references."""
     g, edits = case
-    assert_matches_reference(g)
-    assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
-    assert graph._deletion_sums(g.adj, edits) == _reference_deletion_sums(g.adj, edits), (
-        g.order, list(g.edges()), edits)
+    want = _reference_deletion_sums(g.adj, edits)
+    with pytest.MonkeyPatch.context() as mp:
+        _force(mp, direction)
+        assert_matches_reference(g)
+        assert graph._balls(g.adj) == _reference_balls(g), (g.order, list(g.edges()))
+        assert graph._deletion_sums(g.adj, edits) == want, (g.order, list(g.edges()), edits)
 
 
 # -- line graphs read through their clique cover, and totals read off level
@@ -534,6 +593,21 @@ def test_line_graphs_of_stars_at_the_cover_boundary(leaves):
     assert (lg._cover is None) == (leaves < 4)
     assert _canonical(graph_closeness(lg)) == _canonical(closeness_reference.graph_closeness(lg))
     assert list(map(_fraction, graph_closeness(lg).per_vertex)) == _oracle(lg)
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+@settings(max_examples=60, deadline=None)
+@given(g=HUB_GRAPHS)
+def test_each_direction_alone_with_a_cover(direction, g):
+    """By each plain loop alone on a line graph with its cover (the pull
+    reads the cover's hubs, the push adj): the per-vertex kernel and the
+    totals match the per-source BFS."""
+    lg = line_graph(g)[0]
+    want = _canonical(closeness_reference.graph_closeness(lg))
+    with pytest.MonkeyPatch.context() as mp:
+        _force(mp, direction)
+        assert _canonical(graph_closeness(lg)) == want, (g.order, list(g.edges()))
+        assert graph._total_closeness(lg).canonical() == want[1]
 
 
 def test_line_graph_of_a_lollipop_pulls_through_its_cover():
