@@ -12,7 +12,6 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from .dyadic import Dyadic
 
@@ -36,17 +35,18 @@ UNREACHABLE = -1
 # in pure Python is far out of reach long before this size.
 MAX_ORDER = 100_000
 
-# Bits per block of the bitset BFS traversals that run on _levels,
-# _source_levels (a bit per source) and _deletion_sums (a bit per lane): a
-# block is _width(n) = max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge
-# scan is shared by all of a block's bits, so wider blocks mean fewer
-# scans; a list of balls, one block bitset per vertex, then holds about
-# n * width / 8 <= _BLOCK_BITS / 8 bytes = 4 MiB, and _levels holds at most
-# three: the balls before a level, after it and being built, and on a line
-# graph one hub per clique of its cover besides. Graphs up to
-# n = 5792 run all their sources as one block; from n = 32768 on, blocks
-# are _BLOCK wide and a list takes n * _BLOCK / 8 bytes (about 12 MiB at
-# MAX_ORDER).
+# Bits per block of the bitset BFS traversals that run on _levels, over a
+# graph of n vertices: a bit per source (_source_levels), per edge
+# (_line_closeness) or per lane (_deletion_sums). A block is _width(n) =
+# max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge scan is shared by all
+# of a block's bits, so wider blocks mean fewer scans; a list of balls, one
+# block bitset per vertex, then holds about n * width / 8 <= _BLOCK_BITS / 8
+# bytes = 4 MiB. _levels holds at most three, the balls before a level,
+# after it and being built, and _line_closeness its seed besides; it ORs
+# one edge's two balls at a time, so L(K_128 plus a pendant edge) takes
+# balls of 129 x 8,129 bits, about 130 kB. Graphs up to n = 5792 run all
+# their bits as one block; from n = 32768 on, blocks are _BLOCK wide and a
+# list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
 _BLOCK = 1024
 _BLOCK_BITS = 1 << 25
 
@@ -71,23 +71,14 @@ class Graph:
     the transforms and generators build sorted adjacency themselves and
     pass it to the constructor, which trusts it. Graphs may share lists,
     so none is ever mutated.
-
-    _cover is None or a clique cover of part of adj that the closeness
-    kernel pulls through (_levels), set only by transforms.line_graph:
-    (cliques, scan), where cliques[c] lists clique c's members and
-    scan[v] is v's neighbours outside its cliques, sorted, then the hub
-    order + c of each clique c of v. On each level, hub order + c holds
-    the OR of clique c's members' balls, so scan[v] reaches every
-    neighbour of v. Equality, edges and output ignore it.
     """
 
-    __slots__ = ("order", "adj", "labels", "_cover", "__weakref__")
+    __slots__ = ("order", "adj", "labels", "__weakref__")
 
     def __init__(self, order: int, adj: list[list[int]], labels: list[str]):
         self.order = order
         self.adj = adj
         self.labels = labels
-        self._cover = None
 
     @classmethod
     def from_edges(
@@ -201,7 +192,7 @@ def _width(n: int) -> int:
     return max(_BLOCK, _BLOCK_BITS // (n or 1))
 
 
-def _levels(adj: list[list[int]], ball: list[int], full: int, keep=None, gates=None, cover=None):
+def _levels(adj: list[list[int]], ball: list[int], full: int, keep=None, gates=None):
     """The level loop of the bitset BFS traversals below (multi-source
     bit-parallel BFS; Then et al., PVLDB 2014), one bit per BFS.
 
@@ -214,49 +205,42 @@ def _levels(adj: list[list[int]], ball: list[int], full: int, keep=None, gates=N
     hold, so that it never forwards the others; gates maps edges (u, w)
     that adj leaves out to the bits that may cross them from u to w:
     ball[u] & bits joins w's next ball. Gates and keep masks apply after
-    the pull. cover is a clique cover of adj (Graph._cover) that the pull
-    reads instead: each level first ORs each clique's members' balls into
-    one hub int, at[order + c], and a vertex then reads its scan list, one
-    int per clique of its own, so a clique of q members costs about 2q
-    entries a level instead of q(q - 1).
+    the pull.
 
     The loop ends, unyielded, on the first level on which no ball grows,
     never merely because one ball did not: a block may hold sources at
     distances 1 and 3 from a vertex and none at 2. It also ends once every
     ball is full.
 
-    The pull reads live lists: (v, x) and (v, x, y) tuples for scan lists
-    of one and two entries, which need no inner loop, and the vertices
-    with longer ones. A vertex whose ball is full leaves them when they are
+    The pull reads live lists: (v, x) and (v, x, y) tuples for vertices
+    of one and two neighbours, which need no inner loop, and the vertices
+    with more. A vertex whose ball is full leaves them when they are
     rebuilt, once more than half of their vertices have filled, so the
-    rebuilds cost O(n) in all; a rebuild also drops the cliques with no
-    live member, whose hubs no live vertex reads, and renumbers the
-    others' hubs. No per-vertex state is kept between rebuilds.
+    rebuilds cost O(n) in all. No per-vertex state is kept between
+    rebuilds.
     """
     n = len(adj)
-    cliques, scan = cover or ((), adj)
-    live, hubs, entries = range(n), cliques, scan
+    live = range(n)
     while True:
         ones, twos, more = [], [], []
         for v in live:
-            e = entries[v]
-            if len(e) == 1:
-                ones.append((v, *e))
-            elif len(e) == 2:
-                twos.append((v, *e))
-            elif e:
+            nbrs = adj[v]
+            if len(nbrs) == 1:
+                ones.append((v, *nbrs))
+            elif len(nbrs) == 2:
+                twos.append((v, *nbrs))
+            elif nbrs:
                 more.append(v)
         while True:
             new = ball[:]
-            at = ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in hubs] if hubs else ball
             for v, x in ones:
-                new[v] |= at[x]
+                new[v] |= ball[x]
             for v, x, y in twos:
-                new[v] |= at[x] | at[y]
+                new[v] |= ball[x] | ball[y]
             for v in more:
                 acc = new[v]
-                for x in entries[v]:
-                    acc |= at[x]
+                for x in adj[v]:
+                    acc |= ball[x]
                 new[v] = acc
             if gates:
                 for (u, w), bits in gates.items():
@@ -275,24 +259,58 @@ def _levels(adj: list[list[int]], ball: list[int], full: int, keep=None, gates=N
         live = [v for v in live if ball[v] != full]
         if not live:
             return
-        if cliques:  # hub order + c of a clique c with a live member becomes order + its rank
-            kept = sorted({x for v in live for x in scan[v] if x >= n})
-            rank = dict(zip(kept, range(n, n + len(kept))))
-            hubs = [cliques[x - n] for x in kept]
-            entries = {v: [rank.get(x, x) for x in scan[v]] for v in live}
 
 
 def _source_levels(g: Graph):
     """Per block of _width(n) vertices of g, the run of _levels from them
-    as sources, one bit each, through g._cover when g has one: the run
-    yields (old, ball) per level, and on level k, v's ball holds the
-    block's sources within distance k of v."""
+    as sources, one bit each: the run yields (old, ball) per level, and on
+    level k, v's ball holds the block's sources within distance k of v."""
     n = g.order
     width = _width(n)
     for lo in range(0, n, width):
         hi = min(lo + width, n)
         ball = [0] * lo + [1 << i for i in range(hi - lo)] + [0] * (n - hi)
-        yield _levels(g.adj, ball, (1 << (hi - lo)) - 1, cover=g._cover)
+        yield _levels(g.adj, ball, (1 << (hi - lo)) - 1)
+
+
+def _line_closeness(g: Graph, picks=()) -> tuple[Dyadic, list[Dyadic]]:
+    """The total closeness of the line graph L(g), and the closeness in
+    L(g) of each edge (c, d), c < d, of picks, without building L(g).
+
+    Distinct edges e and f are at distance 1 + the least distance in g
+    between an end of e and an end of f in L(g). So with one lane per edge
+    (u, v), seeded at u and v, the lanes within distance k of f = (c, d) in
+    L(g), f's own among them, are ball[c] | ball[d] after level k - 1 of
+    _levels on g, level 0 being the seed. As in _total_closeness, the
+    popcount sum s_k of those ORs counts the ordered pairs within distance
+    k, s_0 is the block's lane count, and the total is the sum of
+    (s_k - s_(k-1)) * 2**-k; a pick's closeness is that sum on its OR
+    alone, with s_0 = 1 if its lane is in the block.
+    """
+    n = g.order
+    edges = list(g.edges())
+    us, vs = [u for u, _ in edges], [v for _, v in edges]
+    lanes = list(map(edges.index, picks))
+    width = _width(n)
+    total, values = Dyadic(0), [Dyadic(0)] * len(lanes)
+    for lo in range(0, len(edges), width):
+        block = edges[lo : lo + width]
+        seed = [0] * n
+        for i, (u, v) in enumerate(block):
+            seed[u] |= 1 << i
+            seed[v] |= 1 << i
+        seen = [len(block)] + [int(lo <= f < lo + width) for f in lanes]
+        num = [0] * len(seen)
+        runs = (ball for _, ball in _levels(g.adj, seed, (1 << len(block)) - 1))
+        for deepest, ball in enumerate(itertools.chain([seed], runs), 1):
+            ends = map(operator.or_, map(ball.__getitem__, us), map(ball.__getitem__, vs))
+            sizes = [sum(map(int.bit_count, ends))]
+            sizes += [(ball[c] | ball[d]).bit_count() for c, d in picks]
+            num = [(x << 1) + s - t for x, s, t in zip(num, sizes, seen)]
+            seen = sizes
+        total += Dyadic(num[0], deepest)
+        values = [v + Dyadic(x, deepest) for v, x in zip(values, num[1:])]
+    return total, values
 
 
 def _balls(adj: list[list[int]]) -> list[list[int]]:

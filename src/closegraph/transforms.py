@@ -26,9 +26,8 @@ __all__ = [
 ]
 
 # Most edges line_graph builds, about 17 B each. The line graph of a
-# star is complete, so L(S_100000) would take about 85 GB; the sweep's
-# largest, L(K_128 plus a pendant edge) at the bridged window cap, has
-# 1,024,255 edges.
+# star is complete, so L(S_100000) would take about 85 GB; the sweep
+# builds no line graph, so this bounds `closegraph transform line`.
 MAX_LINE_EDGES = 1 << 20
 
 
@@ -68,12 +67,8 @@ def shadow(g: Graph) -> tuple[Graph, list[Origin]]:
 def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
     """Edge-to-vertex dual: one vertex per edge of g, adjacent iff the
     edges share an endpoint. Vertices are ordered by their (u, v)
-    endpoint pair, u < v, lexicographically.
-
-    The edges at a vertex of g are a clique of the line graph. Those of
-    four edges or more form its clique cover (Graph._cover), in vertex
-    order, which the closeness kernel reads instead of their q(q - 1)
-    adjacency entries; smaller ones stay in the scanned lists.
+    endpoint pair, u < v, lexicographically. The sweep reads line graphs'
+    closeness off g (graph._line_closeness) and builds none.
 
     Raises ValueError, before building anything, when the line graph
     would have more than MAX_LINE_EDGES edges.
@@ -97,24 +92,7 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
         del nbrs[i : i + 2]
     labels = [f"({g.labels[u]},{g.labels[v]})" for u, v in edge_list]
     origins = [Origin("edge", e) for e in edge_list]
-    m = len(edge_list)
-    lg = Graph(m, ladj, labels)
-    big = [x for x, star in enumerate(inc) if len(star) >= 4]
-    if big:
-        hub = [0] * g.order  # the hub slot, m + c, of the vertex of clique c
-        for c, x in enumerate(big):
-            hub[x] = m + c
-        scan = []
-        for k, (u, v) in enumerate(edge_list):
-            hu, hv = hub[u], hub[v]
-            if hu and hv:
-                scan.append([hu, hv])
-            elif hu or hv:
-                scan.append([j for j in inc[v if hu else u] if j != k] + [hu or hv])
-            else:
-                scan.append(ladj[k])
-        lg._cover = ([inc[x] for x in big], scan)
-    return lg, origins
+    return Graph(len(edge_list), ladj, labels), origins
 
 
 def _check_join_vertices(g1: Graph, p: int, g2: Graph, q: int) -> None:

@@ -57,8 +57,8 @@ from .generators import (
     gen_random_connected,
     generate,
 )
-from .graph import Graph, _parse_int, _total_closeness, graph_closeness
-from .transforms import bridge_join, coalesce_join, line_graph, shadow
+from .graph import Graph, _line_closeness, _parse_int, _total_closeness, graph_closeness
+from .transforms import bridge_join, coalesce_join, shadow
 
 __all__ = [
     "DEFAULT_SEED",
@@ -207,7 +207,7 @@ def _family(fam: str, p1: int, p2: int | None):
 
 def _line(fam: str, p1: int, p2: int | None):
     spec = FamilySpec(fam, p1, p2)
-    oracle = _total_closeness(line_graph(generate(spec))[0])
+    oracle = _line_closeness(generate(spec))[0]
     return [_record(f"CL_{fam}", p1, p2, closed_form_line(spec), oracle)]
 
 
@@ -220,16 +220,10 @@ def _bridged(case: str, n: int):
     fam, attach, _ = BRIDGED_CASES[case]
     base = generate(FamilySpec(fam, n))
     g, _ = bridge_join(base, attach, Graph(1, [[]], ["B"]), 0)
-    pendant_edge = (attach, g.order - 1)
-    lg, origins = line_graph(g)
-    bridge_idx = next(k for k, o in enumerate(origins) if o.source == pendant_edge)
-    report = graph_closeness(lg)
+    total, (pendant,) = _line_closeness(g, [(attach, g.order - 1)])
     return [
-        _record(f"CLB_{case}", n, None, values.line_closeness, report.total),
-        _record(
-            f"CB_{case}", n, None,
-            values.bridge_vertex_closeness, report.per_vertex[bridge_idx],
-        ),
+        _record(f"CLB_{case}", n, None, values.line_closeness, total),
+        _record(f"CB_{case}", n, None, values.bridge_vertex_closeness, pendant),
     ]
 
 

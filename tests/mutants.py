@@ -75,8 +75,8 @@ MUTANTS = (
     ),
     Mutant(
         "two-entry-tuple-ors-its-first-entry-only", GRAPH,
-        "                new[v] |= at[x] | at[y]\n",
-        "                new[v] |= at[x]\n",
+        "                new[v] |= ball[x] | ball[y]\n",
+        "                new[v] |= ball[x]\n",
         (f"{KERNEL_TESTS}::test_all_sources_pull",),
     ),
     Mutant(
@@ -187,50 +187,31 @@ MUTANTS = (
         "    adj[p].append(n1 + q)\n",
         (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
     ),
-    # line graphs read through their clique cover, and totals by level counts
+    # line-graph closeness read off the root graph: one lane per edge, seeded
+    # at both ends, each edge's ball the OR of its ends' balls from level 0
     Mutant(
-        "pull-skips-hub-reads", GRAPH,
-        "ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in hubs]",
-        "ball + [0] * len(hubs)",
-        (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+        "line-readout-reads-one-end-only", GRAPH,
+        "map(operator.or_, map(ball.__getitem__, us), map(ball.__getitem__, vs))",
+        "map(ball.__getitem__, us)",
+        (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
     Mutant(
-        "hub-keeps-one-member", GRAPH,
-        "[reduce(operator.or_, map(ball.__getitem__, c)) for c in hubs]",
-        "[ball[c[0]] for c in hubs]",
-        (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+        "line-readout-skips-the-seed-level", GRAPH,
+        "itertools.chain([seed], runs)",
+        "runs",
+        (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
     Mutant(
-        "hub-read-from-the-next-level", GRAPH,
-        "                new[v] |= at[x] | at[y]\n",
-        "                new[v] |= at[x] | at[y]\n"
-        "                at[y] |= new[v] if y >= n else 0\n",
-        (f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency",),
+        "line-lane-seeded-at-one-end", GRAPH,
+        "            seed[v] |= 1 << i\n",
+        "",
+        (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
-    Mutant(
-        "dropped-hubs-not-renumbered", GRAPH,
-        "[rank.get(x, x) for x in scan[v]]",
-        "scan[v]",
-        (f"{KERNEL_TESTS}::test_cover_and_totals_across_block_boundaries",),
-    ),
-    Mutant(
-        "hubs-miss-one-endpoint-star", TRANSFORMS,
-        "                scan.append([hu, hv])\n",
-        "                scan.append([hu])\n",
-        (f"{GUARD}::test_line_graph_cover_reproduces_its_adjacency",
-         f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency"),
-    ),
-    Mutant(
-        "cover-scan-drops-a-neighbour", TRANSFORMS,
-        "if j != k] + [hu or hv])",
-        "if j > k] + [hu or hv])",
-        (f"{GUARD}::test_line_graph_cover_reproduces_its_adjacency",
-         f"{KERNEL_TESTS}::test_line_graphs_read_through_their_cover_match_plain_adjacency"),
-    ),
+    # totals by level counts
     Mutant(
         "totals-keep-only-the-last-block", GRAPH,
-        "        total += Dyadic(",
-        "        total = Dyadic(",
+        "        total += Dyadic(num, deepest)\n",
+        "        total = Dyadic(num, deepest)\n",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     Mutant(

@@ -1,14 +1,13 @@
 """The bitset BFS traversals against their references: the multi-source
 kernel against the per-source BFS, the balls against balls read off
 per-source BFS distances, and the lane-parallel deletion sums against
-the per-source BFS on each explicitly cut graph; line graphs read through
-their clique cover against their plain adjacency; and the totals read off
-level counts against the per-vertex kernel."""
+the per-source BFS on each explicitly cut graph; line-graph closeness
+read off the root graph against the per-source BFS of the built line
+graph; and the totals read off level counts against the per-vertex
+kernel."""
 
 import itertools
-import operator
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -226,19 +225,17 @@ def _plain_levels(pull):
     """A stand-in for graph._levels with its interface and none of its
     shortcuts (no live lists, one pass over every vertex or every grown
     vertex a level): each level pulls, ORing every vertex's neighbours'
-    balls into its own (through the cover's hubs, if given), or pushes,
-    ORing each vertex's bits that are new since the level before into its
-    neighbours; then gates and keep masks, as in _levels."""
-    def levels(adj, ball, full, keep=None, gates=None, cover=None):
-        cliques, scan = cover or ((), adj)
+    balls into its own, or pushes, ORing each vertex's bits that are new
+    since the level before into its neighbours; then gates and keep
+    masks, as in _levels."""
+    def levels(adj, ball, full, keep=None, gates=None):
         old = [0] * len(adj)
         while True:
             new = ball[:]
             if pull:
-                at = ball + [reduce(operator.or_, map(ball.__getitem__, c)) for c in cliques]
-                for v, entries in enumerate(scan):
-                    for x in entries:
-                        new[v] |= at[x]
+                for v, nbrs in enumerate(adj):
+                    for x in nbrs:
+                        new[v] |= ball[x]
             else:
                 for u, nbrs in enumerate(adj):
                     for w in nbrs:
@@ -379,18 +376,28 @@ def _cut_cycle():
     adj[0].remove(1)
     adj[1].remove(0)
     gates = {(0, 1): 0b110, (1, 0): 0b110}
-    return adj, [1, 0, 2, 0, 0, 4], 0b111, {3: 0b101}, gates, None
+    return adj, [1, 0, 2, 0, 0, 4], 0b111, {3: 0b101}, gates
 
 
 def _gated_bridge():
     """The path 0-1-2 whose edge (1, 2) is open to lane 1 only, with lanes
     0 and 1 starting at 0: on level 2 only the gate grows a ball."""
-    return [[1], [0], []], [0b11, 0, 0], 0b11, None, {(1, 2): 0b10, (2, 1): 0b10}, None
+    return [[1], [0], []], [0b11, 0, 0], 0b11, None, {(1, 2): 0b10, (2, 1): 0b10}
 
 
 def _from_every_vertex(g):
     n = g.order
-    return g.adj, [1 << v for v in range(n)], (1 << n) - 1, None, None, g._cover
+    return g.adj, [1 << v for v in range(n)], (1 << n) - 1, None, None
+
+
+def _from_every_edge(g):
+    """The lanes of graph._line_closeness: one per edge, seeded at both
+    ends."""
+    seed = [0] * g.order
+    for i, (u, v) in enumerate(g.edges()):
+        seed[u] |= 1 << i
+        seed[v] |= 1 << i
+    return g.adj, seed, (1 << g.edge_count) - 1, None, None
 
 
 def _reference_levels(adj, seed, full, keep, gates):
@@ -428,14 +435,15 @@ def _reference_levels(adj, seed, full, keep, gates):
     _from_every_vertex(generate(FamilySpec("lollipop", 6, 10))),
     _from_every_vertex(_union(generate(FamilySpec("tadpole", 5, 6)), generate(FamilySpec("star", 4)))),
     _from_every_vertex(line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]),
+    _from_every_edge(_union(generate(FamilySpec("lollipop", 6, 10)), generate(FamilySpec("star", 5)))),
     _cut_cycle(), _gated_bridge(),
-], ids=["dense", "path", "path-and-clique", "lollipop", "union", "line-lollipop", "cut-cycle",
-        "gated-bridge"])
+], ids=["dense", "path", "path-and-clique", "lollipop", "union", "line-lollipop", "edge-lanes",
+        "cut-cycle", "gated-bridge"])
 def test_levels_yield_the_balls_of_each_distance(run):
     """Each level's balls against a BFS per bit, and the loop ends on the
     last level on which a ball grows."""
-    adj, seed, full, keep, gates, cover = run
-    got = [seed] + [ball for _, ball in graph._levels(adj, seed, full, keep, gates, cover)]
+    adj, seed, full, keep, gates = run
+    got = [seed] + [ball for _, ball in graph._levels(adj, seed, full, keep, gates)]
     assert got == _reference_levels(adj, seed, full, keep, gates)
 
 
@@ -474,8 +482,8 @@ def test_each_direction_alone_matches_the_references(direction, case):
         assert graph._deletion_sums(g.adj, edits) == want, (g.order, list(g.edges()), edits)
 
 
-# -- line graphs read through their clique cover, and totals read off level
-# counts --------------------------------------------------------------------
+# -- line-graph closeness read off the root graph, against the per-source
+# BFS of the built line graph; and totals read off level counts -------------
 
 def _edges_of(g):
     return g.order, list(g.edges())
@@ -483,9 +491,8 @@ def _edges_of(g):
 
 @st.composite
 def star(draw):
-    """A star of 0 to 7 edges; those of 3 and 4 edges straddle the cover's
-    four-edge rule."""
-    leaves = draw(st.one_of(st.sampled_from([3, 4]), st.integers(min_value=0, max_value=7)))
+    """A star of 0 to 7 edges: its line graph is one clique."""
+    leaves = draw(st.integers(min_value=0, max_value=7))
     return leaves + 1, [(0, v) for v in range(1, leaves + 1)]
 
 
@@ -521,11 +528,12 @@ def dense(draw):
     return n, draw(st.lists(st.sampled_from(pairs), min_size=2 * n, unique=True))
 
 
-# graphs whose line graphs carry a cover, and some whose do not, as
-# disjoint unions of one or two parts with isolated vertices
-HUB_GRAPHS = shuffled(
+ROOT_GRAPHS = shuffled(
     st.one_of(dense(), star(), complete(), composite(), bridged(), at_most_one_edge(), any_graph())
 )
+# root graphs, and disjoint unions of up to three of them with three
+# isolated vertices: disconnected graphs, and graphs with no edge
+LINE_ROOTS = st.one_of(ROOT_GRAPHS, st.lists(ROOT_GRAPHS, max_size=3).map(lambda gs: _union(*gs)))
 
 
 def _oracle(g):
@@ -536,34 +544,79 @@ def _fraction(d):
     return Fraction(d.numerator, 2 ** d.exponent)
 
 
-@settings(max_examples=150, deadline=None)
-@given(HUB_GRAPHS)
-def test_line_graphs_read_through_their_cover_match_plain_adjacency(g):
-    """The kernel on line_graph(g), with its cover, against the same
-    adjacency with no cover, the networkx oracle and the totals path."""
-    lg = line_graph(g)[0]
-    plain = Graph.from_edges(lg.order, list(lg.edges()))
-    assert plain._cover is None
-    got = graph_closeness(lg)
-    assert _canonical(got) == _canonical(graph_closeness(plain)), (g.order, list(g.edges()))
-    assert list(map(_fraction, got.per_vertex)) == _oracle(lg)
-    assert graph._total_closeness(lg) == got.total
+def _picks(g, data):
+    """One edge of g, if it has any, whose closeness in L(g) is read."""
+    edges = list(g.edges())
+    return [data.draw(st.sampled_from(edges))] if edges else []
+
+
+def assert_line_closeness_matches_reference(g, picks):
+    total, values = graph._line_closeness(g, picks)
+    want_total, want_values = closeness_reference.line_closeness(g, picks)
+    assert (total.canonical(), [v.canonical() for v in values]) == (
+        want_total.canonical(), [v.canonical() for v in want_values]), (g.order, list(g.edges()), picks)
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
-@settings(max_examples=40, deadline=None)
-@given(g=HUB_GRAPHS)
-def test_cover_and_totals_across_block_boundaries(block, g):
-    """The per-vertex kernel and the totals on a line graph with its cover
-    against the per-source BFS, whole and in blocks of one and three."""
-    lg = line_graph(g)[0]
-    want = _canonical(closeness_reference.graph_closeness(lg))
+@settings(max_examples=100, deadline=None)
+@given(g=LINE_ROOTS, data=st.data())
+def test_line_closeness_matches_the_built_line_graph(block, g, data):
+    """The total and one edge's closeness, in one block of every edge and
+    in blocks of one and of three lanes."""
+    picks = _picks(g, data)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(graph, "_BLOCK", block)
-            mp.setattr(graph, "_BLOCK_BITS", 0)
-        assert _canonical(graph_closeness(lg)) == want
-        assert graph._total_closeness(lg).canonical() == want[1]
+            mp.setattr(graph, "_width", lambda n: block)
+        assert_line_closeness_matches_reference(g, picks)
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+@settings(max_examples=60, deadline=None)
+@given(g=LINE_ROOTS, data=st.data())
+def test_line_closeness_by_each_plain_loop(direction, g, data):
+    """The readout on the balls of each plain loop, in blocks of three
+    lanes: it must not lean on the kernel's shortcuts."""
+    picks = _picks(g, data)
+    with pytest.MonkeyPatch.context() as mp:
+        _force(mp, direction)
+        mp.setattr(graph, "_width", lambda n: 3)
+        assert_line_closeness_matches_reference(g, picks)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_line_closeness_of_every_tiny_graph(order):
+    """Every graph of orders 0 to 4, every edge picked."""
+    pairs = list(itertools.combinations(range(order), 2))
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            assert_line_closeness_matches_reference(build(order, list(edges)), list(edges))
+
+
+@pytest.mark.parametrize("leaves", [3, 4, 5])
+def test_line_closeness_of_stars_joined_by_a_path(monkeypatch, leaves):
+    """A star of 3, 4 or 5 edges, a path of 7 edges from one of its
+    leaves, and at the path's far end a second star as large: the stars'
+    line graphs are cliques, whose lanes cross the path a level at a time.
+    Every edge's closeness against the networkx oracle on the built line
+    graph, in blocks of four lanes."""
+    end = leaves + 7
+    g = build(end + leaves, [(0, v) for v in range(1, leaves + 1)]
+              + [(v, v + 1) for v in range(leaves, end)]
+              + [(end, v) for v in range(end + 1, end + leaves)])
+    monkeypatch.setattr(graph, "_width", lambda n: 4)
+    lg, origins = line_graph(g)
+    total, values = graph._line_closeness(g, [o.source for o in origins])
+    assert list(map(_fraction, values)) == _oracle(lg)
+    assert _fraction(total) == sum(_oracle(lg))
+
+
+def test_line_closeness_of_a_lollipop_in_blocks(monkeypatch):
+    """L(lollipop 8, 12) in blocks of five lanes, read at a clique edge,
+    the bridge and the tail's last edge: the clique's lanes reach the
+    tail's end one level at a time."""
+    g = generate(FamilySpec("lollipop", 8, 12))
+    monkeypatch.setattr(graph, "_width", lambda n: 5)
+    assert_line_closeness_matches_reference(g, [(1, 7), (0, 8), (18, 19)])
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
@@ -577,42 +630,3 @@ def test_totals_match_the_per_vertex_kernel(block, g):
             mp.setattr(graph, "_BLOCK", block)
             mp.setattr(graph, "_BLOCK_BITS", 0)
         assert graph._total_closeness(g) == graph_closeness(g).total, (g.order, list(g.edges()))
-
-
-@pytest.mark.parametrize("leaves", [3, 4, 5])
-def test_line_graphs_of_stars_at_the_cover_boundary(leaves):
-    """A star of 3, 4 or 5 edges, a path of 7 edges from one of its
-    leaves, and at the path's far end a second star as large: the stars'
-    line graphs are cliques, whose bits cross the path a level at a
-    time."""
-    end = leaves + 7
-    g = build(end + leaves, [(0, v) for v in range(1, leaves + 1)]
-              + [(v, v + 1) for v in range(leaves, end)]
-              + [(end, v) for v in range(end + 1, end + leaves)])
-    lg = line_graph(g)[0]
-    assert (lg._cover is None) == (leaves < 4)
-    assert _canonical(graph_closeness(lg)) == _canonical(closeness_reference.graph_closeness(lg))
-    assert list(map(_fraction, graph_closeness(lg).per_vertex)) == _oracle(lg)
-
-
-@pytest.mark.parametrize("direction", ["push", "pull"])
-@settings(max_examples=60, deadline=None)
-@given(g=HUB_GRAPHS)
-def test_each_direction_alone_with_a_cover(direction, g):
-    """By each plain loop alone on a line graph with its cover (the pull
-    reads the cover's hubs, the push adj): the per-vertex kernel and the
-    totals match the per-source BFS."""
-    lg = line_graph(g)[0]
-    want = _canonical(closeness_reference.graph_closeness(lg))
-    with pytest.MonkeyPatch.context() as mp:
-        _force(mp, direction)
-        assert _canonical(graph_closeness(lg)) == want, (g.order, list(g.edges()))
-        assert graph._total_closeness(lg).canonical() == want[1]
-
-
-def test_line_graph_of_a_lollipop_pulls_through_its_cover():
-    """A pull on L(lollipop 8, 12) reads each clique member's hub once,
-    where adj would scan the whole clique."""
-    lg = line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]
-    assert lg._cover is not None
-    assert _canonical(graph_closeness(lg)) == _canonical(closeness_reference.graph_closeness(lg))
