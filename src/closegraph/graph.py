@@ -281,17 +281,21 @@ def _line_closeness(g: Graph, picks=()) -> tuple[Dyadic, list[Dyadic]]:
     between an end of e and an end of f in L(g). So with one lane per edge
     (u, v), seeded at u and v, the lanes within distance k of f = (c, d) in
     L(g), f's own among them, are ball[c] | ball[d] after level k - 1 of
-    _levels on g, level 0 being the seed. As in _total_closeness, the
-    popcount sum s_k of those ORs counts the ordered pairs within distance
-    k, s_0 is the block's lane count, and the total is the sum of
-    (s_k - s_(k-1)) * 2**-k; a pick's closeness is that sum on its OR
-    alone, with s_0 = 1 if its lane is in the block.
+    _levels on g, level 0 being the seed. _level_sums reads the total off
+    the popcount sums of those ORs, s_0 being the block's lane count, and
+    a pick's closeness off its OR alone, s_0 = 1 if its lane is in the block.
     """
     n = g.order
     edges = list(g.edges())
     us, vs = [u for u, _ in edges], [v for _, v in edges]
     lanes = list(map(edges.index, picks))
     width = _width(n)
+
+    def sizes(ball):
+        ends = map(operator.or_, map(ball.__getitem__, us), map(ball.__getitem__, vs))
+        picked = [(ball[c] | ball[d]).bit_count() for c, d in picks]
+        return [sum(map(int.bit_count, ends)), *picked]
+
     total, values = Dyadic(0), [Dyadic(0)] * len(lanes)
     for lo in range(0, len(edges), width):
         block = edges[lo : lo + width]
@@ -299,18 +303,25 @@ def _line_closeness(g: Graph, picks=()) -> tuple[Dyadic, list[Dyadic]]:
         for i, (u, v) in enumerate(block):
             seed[u] |= 1 << i
             seed[v] |= 1 << i
-        seen = [len(block)] + [int(lo <= f < lo + width) for f in lanes]
-        num = [0] * len(seen)
         runs = (ball for _, ball in _levels(g.adj, seed, (1 << len(block)) - 1))
-        for deepest, ball in enumerate(itertools.chain([seed], runs), 1):
-            ends = map(operator.or_, map(ball.__getitem__, us), map(ball.__getitem__, vs))
-            sizes = [sum(map(int.bit_count, ends))]
-            sizes += [(ball[c] | ball[d]).bit_count() for c, d in picks]
-            num = [(x << 1) + s - t for x, s, t in zip(num, sizes, seen)]
-            seen = sizes
-        total += Dyadic(num[0], deepest)
-        values = [v + Dyadic(x, deepest) for v, x in zip(values, num[1:])]
+        seen = [len(block)] + [int(lo <= f < lo + width) for f in lanes]
+        columns = zip(*map(sizes, itertools.chain([seed], runs)))
+        block_total, *block_values = map(_level_sums, columns, seen)
+        total += block_total
+        values = list(map(operator.add, values, block_values))
     return total, values
+
+
+def _level_sums(sizes, seen: int) -> Dyadic:
+    """Horner's rule over one block's levels: sizes yields the popcount
+    sums s_k of a readout's balls on levels k = 1, 2, ..., and seen is its
+    s_0. With c_k = s_k - s_(k-1) pairs first within distance k, returns
+    the sum of c_k * 2**-k."""
+    num = deepest = 0
+    for deepest, size in enumerate(sizes, 1):
+        num = (num << 1) + size - seen
+        seen = size
+    return Dyadic(num, deepest)
 
 
 def _balls(adj: list[list[int]]) -> list[list[int]]:
@@ -452,20 +463,14 @@ def graph_closeness(g: Graph) -> ClosenessReport:
 def _total_closeness(g: Graph) -> Dyadic:
     """graph_closeness(g).total, read off level counts: the balls of
     level k of _source_levels hold the ordered pairs within distance k,
-    so with s_k of them c_k = s_k - s_(k-1) pairs are at distance k, and
-    the total is the sum of c_k * 2**-k (Horner's rule). s_0 is the
-    block's source count. No per-vertex sum is kept."""
+    so _level_sums reads the total off their popcount sums s_k, with s_0
+    the block's source count. No per-vertex sum is kept."""
     n = g.order
     width = _width(n)
     total = Dyadic(0)
     for lo, levels in zip(range(0, n, width), _source_levels(g)):
-        seen = min(width, n - lo)
-        num = deepest = 0
-        for deepest, (_, ball) in enumerate(levels, 1):
-            size = sum(map(int.bit_count, ball))
-            num = (num << 1) + size - seen
-            seen = size
-        total += Dyadic(num, deepest)
+        sizes = (sum(map(int.bit_count, ball)) for _, ball in levels)
+        total += _level_sums(sizes, min(width, n - lo))
     return total
 
 

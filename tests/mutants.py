@@ -210,20 +210,20 @@ MUTANTS = (
     # totals by level counts
     Mutant(
         "totals-keep-only-the-last-block", GRAPH,
-        "        total += Dyadic(num, deepest)\n",
-        "        total = Dyadic(num, deepest)\n",
+        "        total += _level_sums(sizes",
+        "        total = _level_sums(sizes",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     Mutant(
         "totals-drop-the-last-level", GRAPH,
-        "enumerate(levels, 1):\n            size",
-        "enumerate(list(levels)[:-1], 1):\n            size",
+        "enumerate(sizes, 1):\n",
+        "enumerate(list(sizes)[:-1], 1):\n",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     Mutant(
         "totals-count-a-full-last-block", GRAPH,
-        "        seen = min(width, n - lo)\n",
-        "        seen = width\n",
+        "min(width, n - lo)",
+        "width",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     # the vulnerability state: only-parent sets by counting, gains from the balls
