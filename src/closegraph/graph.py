@@ -36,17 +36,17 @@ UNREACHABLE = -1
 MAX_ORDER = 100_000
 
 # Bits per block of the bitset BFS traversals that run on _levels, over a
-# graph of n vertices: a bit per source (_source_levels), per edge
-# (_line_closeness) or per lane (_deletion_sums). A block is _width(n) =
-# max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge scan is shared by all
-# of a block's bits, so wider blocks mean fewer scans; a list of balls, one
-# block bitset per vertex, then holds about n * width / 8 <= _BLOCK_BITS / 8
-# bytes = 4 MiB. _levels holds at most three, the balls before a level,
-# after it and being built, and _line_closeness its seed besides; it ORs
-# one edge's two balls at a time, so L(K_128 plus a pendant edge) takes
-# balls of 129 x 8,129 bits, about 130 kB. Graphs up to n = 5792 run all
-# their bits as one block; from n = 32768 on, blocks are _BLOCK wide and a
-# list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
+# graph of n vertices: a bit per source (_source_levels), per vertex and
+# per edge (_closeness_totals) or per lane (_deletion_sums). A block is
+# _width(n) = max(_BLOCK, _BLOCK_BITS // n) bits wide. Every edge scan is
+# shared by all of a block's bits, so wider blocks mean fewer scans; a list
+# of balls, one block bitset per vertex, then holds about n * width / 8 <=
+# _BLOCK_BITS / 8 bytes = 4 MiB. _levels holds at most three, the balls
+# before a level, after it and being built, and _closeness_totals its seed
+# and one level's edge-lane bits besides, so K_128 plus a pendant edge
+# takes lists of 129 x 8,258 bits, about 133 kB. Graphs up to n = 5792 run
+# all their bits as one block; from n = 32768 on, blocks are _BLOCK wide
+# and a list takes n * _BLOCK / 8 bytes (about 12 MiB at MAX_ORDER).
 _BLOCK = 1024
 _BLOCK_BITS = 1 << 25
 
@@ -273,55 +273,53 @@ def _source_levels(g: Graph):
         yield _levels(g.adj, ball, (1 << (hi - lo)) - 1)
 
 
-def _line_closeness(g: Graph, picks=()) -> tuple[Dyadic, list[Dyadic]]:
-    """The total closeness of the line graph L(g), and the closeness in
-    L(g) of each edge (c, d), c < d, of picks, without building L(g).
+def _closeness_totals(g: Graph, line: bool = True, picks=()) -> tuple[Dyadic, Dyadic, list[Dyadic]]:
+    """C(g), the total closeness of L(g) and the closeness in L(g) of
+    each edge (c, d), c < d, of picks, off one run of _levels on g.adj
+    per block of _width(n) lanes; line=False drops the edge lanes (the
+    line total reads 0).
 
-    Distinct edges e and f are at distance 1 + the least distance in g
-    between an end of e and an end of f in L(g). So with one lane per edge
-    (u, v), seeded at u and v, the lanes within distance k of f = (c, d) in
-    L(g), f's own among them, are ball[c] | ball[d] after level k - 1 of
-    _levels on g, level 0 being the seed. _level_sums reads the total off
-    the popcount sums of those ORs, s_0 being the block's lane count, and
-    a pick's closeness off its OR alone, s_0 = 1 if its lane is in the block.
+    A vertex lane is seeded at its vertex, an edge lane (u, v) at u and
+    v; a block's vertex lanes are its low bits. After level k, ball[v]
+    holds the vertex lanes within distance k of v, and since distinct
+    edges are at distance 1 + the least distance in g between their ends
+    in L(g), ball[c] | ball[d] holds the edge lanes within distance k + 1
+    of f = (c, d) in L(g), the seed being level 0. Each readout's
+    popcount sums s_k count its pairs within distance k, the line
+    readouts' one level behind, and Horner's rule sums
+    (s_k - s_(k-1)) * 2**-k, s_0 being the readout's lanes in the block.
     """
     n = g.order
-    edges = list(g.edges())
-    us, vs = [u for u, _ in edges], [v for _, v in edges]
-    lanes = list(map(edges.index, picks))
+    edges = list(g.edges()) if line else []
+    lanes = [(v, v) for v in range(n)] + edges
+    # line readouts' ends: the total's, then each pick's
+    ends = [([u for u, _ in edges], [v for _, v in edges]), *(([c], [d]) for c, d in picks)]
     width = _width(n)
-
-    def sizes(ball):
-        ends = map(operator.or_, map(ball.__getitem__, us), map(ball.__getitem__, vs))
-        picked = [(ball[c] | ball[d]).bit_count() for c, d in picks]
-        return [sum(map(int.bit_count, ends)), *picked]
-
-    total, values = Dyadic(0), [Dyadic(0)] * len(lanes)
-    for lo in range(0, len(edges), width):
-        block = edges[lo : lo + width]
+    total, values = Dyadic(0), [Dyadic(0)] * len(ends)
+    for lo in range(0, len(lanes), width):
+        block = lanes[lo : lo + width]
         seed = [0] * n
         for i, (u, v) in enumerate(block):
             seed[u] |= 1 << i
             seed[v] |= 1 << i
-        runs = (ball for _, ball in _levels(g.adj, seed, (1 << len(block)) - 1))
-        seen = [len(block)] + [int(lo <= f < lo + width) for f in lanes]
-        columns = zip(*map(sizes, itertools.chain([seed], runs)))
-        block_total, *block_values = map(_level_sums, columns, seen)
-        total += block_total
-        values = list(map(operator.add, values, block_values))
-    return total, values
-
-
-def _level_sums(sizes, seen: int) -> Dyadic:
-    """Horner's rule over one block's levels: sizes yields the popcount
-    sums s_k of a readout's balls on levels k = 1, 2, ..., and seen is its
-    s_0. With c_k = s_k - s_(k-1) pairs first within distance k, returns
-    the sum of c_k * 2**-k."""
-    num = deepest = 0
-    for deepest, size in enumerate(sizes, 1):
-        num = (num << 1) + size - seen
-        seen = size
-    return Dyadic(num, deepest)
+        low = min(max(n - lo, 0), len(block))
+        shift = itertools.repeat(low)
+        balls = (ball for _, ball in _levels(g.adj, seed, (1 << len(block)) - 1))
+        num, nums = 0, [0] * len(ends)
+        seen, line_seen = low, [len(block) - low, *(int(f in block) for f in picks)]
+        for depth, ball in enumerate(itertools.chain([seed], balls)):
+            size = sum(map(int.bit_count, ball))
+            if low < len(block):  # else every line readout reads 0
+                tops = list(map(operator.rshift, ball, shift))  # edge-lane bits
+                size -= sum(map(int.bit_count, tops))
+                for i, (cs, ds) in enumerate(ends):
+                    ors = map(operator.or_, map(tops.__getitem__, cs), map(tops.__getitem__, ds))
+                    lsize = sum(map(int.bit_count, ors))
+                    nums[i], line_seen[i] = (nums[i] << 1) + lsize - line_seen[i], lsize
+            num, seen = (num << 1) + size - seen, size
+        total += Dyadic(num, depth)
+        values = [value + Dyadic(num, depth + 1) for value, num in zip(values, nums)]
+    return total, values[0], values[1:]
 
 
 def _balls(adj: list[list[int]]) -> list[list[int]]:
@@ -458,20 +456,6 @@ def graph_closeness(g: Graph) -> ClosenessReport:
         per_vertex=[Dyadic(c, d) for c, d in zip(num, depth)],
         total=Dyadic(total, deepest),
     )
-
-
-def _total_closeness(g: Graph) -> Dyadic:
-    """graph_closeness(g).total, read off level counts: the balls of
-    level k of _source_levels hold the ordered pairs within distance k,
-    so _level_sums reads the total off their popcount sums s_k, with s_0
-    the block's source count. No per-vertex sum is kept."""
-    n = g.order
-    width = _width(n)
-    total = Dyadic(0)
-    for lo, levels in zip(range(0, n, width), _source_levels(g)):
-        sizes = (sum(map(int.bit_count, ball)) for _, ball in levels)
-        total += _level_sums(sizes, min(width, n - lo))
-    return total
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -68,7 +68,7 @@ def line_graph(g: Graph) -> tuple[Graph, list[Origin]]:
     """Edge-to-vertex dual: one vertex per edge of g, adjacent iff the
     edges share an endpoint. Vertices are ordered by their (u, v)
     endpoint pair, u < v, lexicographically. The sweep reads line graphs'
-    closeness off g (graph._line_closeness) and builds none.
+    closeness off g (graph._closeness_totals) and builds none.
 
     Raises ValueError, before building anything, when the line graph
     would have more than MAX_LINE_EDGES edges.

@@ -57,7 +57,7 @@ from .generators import (
     gen_random_connected,
     generate,
 )
-from .graph import Graph, _line_closeness, _parse_int, _total_closeness, graph_closeness
+from .graph import Graph, _closeness_totals, _parse_int, graph_closeness
 from .transforms import bridge_join, coalesce_join, shadow
 
 __all__ = [
@@ -201,14 +201,11 @@ def _eval_task(task) -> list[VerificationRecord]:
 
 def _family(fam: str, p1: int, p2: int | None):
     spec = FamilySpec(fam, p1, p2)
-    oracle = _total_closeness(generate(spec))
-    return [_record(f"C_{fam}", p1, p2, closed_form(spec), oracle)]
-
-
-def _line(fam: str, p1: int, p2: int | None):
-    spec = FamilySpec(fam, p1, p2)
-    oracle = _line_closeness(generate(spec))[0]
-    return [_record(f"CL_{fam}", p1, p2, closed_form_line(spec), oracle)]
+    total, line_total, _ = _closeness_totals(generate(spec))
+    records = [_record(f"C_{fam}", p1, p2, closed_form(spec), total)]
+    if (fam, p1) != ("path", 1):  # L(P_1) is empty
+        records.append(_record(f"CL_{fam}", p1, p2, closed_form_line(spec), line_total))
+    return records
 
 
 # the case of each family with the pendant at vertex 0, where composite parts join
@@ -220,7 +217,7 @@ def _bridged(case: str, n: int):
     fam, attach, _ = BRIDGED_CASES[case]
     base = generate(FamilySpec(fam, n))
     g, _ = bridge_join(base, attach, Graph(1, [[]], ["B"]), 0)
-    total, (pendant,) = _line_closeness(g, [(attach, g.order - 1)])
+    _, total, (pendant,) = _closeness_totals(g, picks=[(attach, g.order - 1)])
     return [
         _record(f"CLB_{case}", n, None, values.line_closeness, total),
         _record(f"CB_{case}", n, None, values.bridge_vertex_closeness, pendant),
@@ -228,9 +225,9 @@ def _bridged(case: str, n: int):
 
 
 def _shadow_of(check: str, p1: int, p2: int | None, g: Graph):
-    predicted = shadow_closeness(_total_closeness(g), g.order)
+    predicted = shadow_closeness(_closeness_totals(g, line=False)[0], g.order)
     sg, _ = shadow(g)
-    return [_record(check, p1, p2, predicted, _total_closeness(sg))]
+    return [_record(check, p1, p2, predicted, _closeness_totals(sg, line=False)[0])]
 
 
 def _shadow_instance(fam: str, n: int):
@@ -269,11 +266,11 @@ def _rule_random(idx: int, seed: int, max_order: int):
     return [
         _record(
             "rule_bridge:random", idx, both,
-            compose_bridge(*values), _total_closeness(bridged),
+            compose_bridge(*values), _closeness_totals(bridged, line=False)[0],
         ),
         _record(
             "rule_coalesce:random", idx, both,
-            compose_coalesce(*values), _total_closeness(merged),
+            compose_coalesce(*values), _closeness_totals(merged, line=False)[0],
         ),
     ]
 
@@ -313,15 +310,14 @@ def _compose_line(fam: str, m: int, n: int):
 # ---------------------------------------------------------------------------
 # task construction
 
-def _grid(fam: str, window: SweepWindow, line: bool = False):
-    """The (p1, p2) points of one family: p1 from the family minimum (2 for
-    the line graph of a path, since L(P_1) is empty), and for composites m
-    from 3 and n from the family minimum, each up to its window bound."""
+def _grid(fam: str, window: SweepWindow):
+    """The (p1, p2) points of one family: p1 from the family minimum, and
+    for composites m from 3 and n from the family minimum, each up to its
+    window bound."""
     lo1, lo2 = MINIMA[fam]
     if lo2 is None:
-        lo = 2 if line and fam == "path" else lo1
         hi = window.complete_max if fam == "complete" else window.basic_max
-        return ((n, None) for n in range(lo, hi + 1))
+        return ((n, None) for n in range(lo1, hi + 1))
     hi = window.bistar_n_max if fam == "bistar" else window.n_max
     return ((m, n) for m in range(3, window.m_max + 1) for n in range(lo2, hi + 1))
 
@@ -332,13 +328,10 @@ def build_tasks(
     families: set[str] | None = None,
     experiment_min_degree: bool = False,
 ) -> Iterator[tuple]:
-    """Yield the full deterministic task list, optionally filtered by family."""
+    """Yield the deterministic task list, _family's first, optionally by family."""
     wanted = [fam for fam in FAMILIES if families is None or fam in families]
-    for check in (_family, _line):
-        for fam in wanted:
-            yield from (
-                (check, fam, p1, p2) for p1, p2 in _grid(fam, window, check is _line)
-            )
+    for fam in wanted:
+        yield from ((_family, fam, p1, p2) for p1, p2 in _grid(fam, window))
 
     for case, (fam, _, lo) in BRIDGED_CASES.items():
         if fam in wanted:
@@ -402,16 +395,24 @@ def run_all(
     for fam in sorted(families or ()):
         check_family(fam)
     grid = (window, seed, families, experiment_min_degree)
-    count = sum(1 for _ in build_tasks(*grid))
+    kinds = [check is _family for check, *_ in build_tasks(*grid)]
+    count, family = len(kinds), sum(kinds)
     jobs = _worker_count(jobs, count)
     if jobs <= 1:
-        return [rec for task in build_tasks(*grid) for rec in _eval_task(task)]
+        return _in_order(map(_eval_task, build_tasks(*grid)), family)
     # Tasks are generated as the pool hands them out, so the parent never
     # holds the task list and the forked workers do not inherit a copy.
     chunk = max(1, count // (jobs * 8))
     with multiprocessing.Pool(jobs) as pool:
-        grouped = pool.imap(_eval_task, build_tasks(*grid), chunksize=chunk)
-        return [rec for group in grouped for rec in group]
+        return _in_order(pool.imap(_eval_task, build_tasks(*grid), chunksize=chunk), family)
+
+
+def _in_order(grouped, family: int) -> list[VerificationRecord]:
+    """The records of the task results grouped, whose first family are
+    _family's: every C_ record, then every CL_ record, then the rest."""
+    heads = [next(grouped) for _ in range(family)]
+    lines = [r for g in heads for r in g[1:]]
+    return [g[0] for g in heads] + lines + [r for g in grouped for r in g]
 
 
 CSV_HEADER = ["family", "p1", "p2", "formula", "oracle", "pass"]

@@ -4,7 +4,7 @@ This is the all-pairs kernel that ``closegraph.graph.graph_closeness``
 used before the multi-source bitset BFS: ``vertex_closeness`` (one BFS)
 for every vertex, summed as Dyadics. The fast kernel must reproduce its
 per-vertex values and total exactly. ``line_closeness`` is the same BFS
-on the built line graph, which ``closegraph.graph._line_closeness``
+on the built line graph, which ``closegraph.graph._closeness_totals``
 reads off the root graph instead.
 """
 
@@ -24,8 +24,9 @@ def graph_closeness(g: Graph) -> ClosenessReport:
 
 
 def line_closeness(g: Graph, picks=()) -> tuple[Dyadic, list[Dyadic]]:
-    """graph._line_closeness(g, picks): the total closeness of line_graph(g)
-    and the closeness of the line vertex of each edge in picks."""
+    """The line readouts of graph._closeness_totals(g, picks=picks): the
+    total closeness of line_graph(g) and the closeness of the line vertex
+    of each edge in picks."""
     lg, origins = line_graph(g)
     report = graph_closeness(lg)
     index = {o.source: k for k, o in enumerate(origins)}

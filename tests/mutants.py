@@ -41,11 +41,13 @@ GRAPH = "src/closegraph/graph.py"
 TRANSFORMS = "src/closegraph/transforms.py"
 GENERATORS = "src/closegraph/generators.py"
 VULNERABILITY = "src/closegraph/vulnerability.py"
+VERIFY = "src/closegraph/verify.py"
 KERNEL_TESTS = "tests/test_closeness_kernel.py"
 GENERATOR_TESTS = "tests/test_generators.py"
 GRAPH_TESTS = "tests/test_graph.py"
 GUARD = "tests/test_trusted_construction.py"
 VULN_TESTS = "tests/test_vulnerability.py"
+VERIFY_TESTS = "tests/test_verify.py"
 
 MUTANTS = (
     # the level loop, graph._levels
@@ -187,18 +189,20 @@ MUTANTS = (
         "    adj[p].append(n1 + q)\n",
         (f"{GUARD}::test_transforms_build_what_from_edges_builds",),
     ),
-    # line-graph closeness read off the root graph: one lane per edge, seeded
-    # at both ends, each edge's ball the OR of its ends' balls from level 0
+    # the shared traversal: one lane per vertex, seeded at it, and one per
+    # edge, seeded at both ends; C(G) read off the vertex-lane bits, and
+    # line-graph closeness off the edge-lane bits of each edge's two ends'
+    # balls ORed, one level behind
     Mutant(
         "line-readout-reads-one-end-only", GRAPH,
-        "map(operator.or_, map(ball.__getitem__, us), map(ball.__getitem__, vs))",
-        "map(ball.__getitem__, us)",
+        "map(operator.or_, map(tops.__getitem__, cs), map(tops.__getitem__, ds))",
+        "map(tops.__getitem__, cs)",
         (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
     Mutant(
         "line-readout-skips-the-seed-level", GRAPH,
-        "itertools.chain([seed], runs)",
-        "runs",
+        "itertools.chain([seed], balls)",
+        "balls",
         (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
     Mutant(
@@ -207,24 +211,44 @@ MUTANTS = (
         "",
         (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
+    Mutant(
+        "vertex-readout-counts-edge-lane-bits", GRAPH,
+        "                size -= sum(map(int.bit_count, tops))\n",
+        "",
+        (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
+    ),
+    Mutant(
+        "line-readout-counts-vertex-lane-bits", GRAPH,
+        "map(operator.or_, map(tops.__getitem__, cs), map(tops.__getitem__, ds))",
+        "map(operator.or_, map(ball.__getitem__, cs), map(ball.__getitem__, ds))",
+        (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
+    ),
     # totals by level counts
     Mutant(
         "totals-keep-only-the-last-block", GRAPH,
-        "        total += _level_sums(sizes",
-        "        total = _level_sums(sizes",
+        "        total += Dyadic(num, depth)\n",
+        "        total = Dyadic(num, depth)\n",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     Mutant(
         "totals-drop-the-last-level", GRAPH,
-        "enumerate(sizes, 1):\n",
-        "enumerate(list(sizes)[:-1], 1):\n",
+        "enumerate(itertools.chain([seed], balls)):\n",
+        "enumerate(list(itertools.chain([seed], balls))[:-1]):\n",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
     ),
     Mutant(
         "totals-count-a-full-last-block", GRAPH,
-        "min(width, n - lo)",
-        "width",
+        "seen, line_seen = low,",
+        "seen, line_seen = width,",
         (f"{KERNEL_TESTS}::test_totals_match_the_per_vertex_kernel",),
+    ),
+    # the sweep's record order: a family task returns its C_ and CL_
+    # records, and run_all writes every C_ record before every CL_ record
+    Mutant(
+        "line-records-inside-the-family-section", VERIFY,
+        "    return [g[0] for g in heads] + lines + [r for g in grouped for r in g]\n",
+        "    return [r for g in heads for r in g] + [r for g in grouped for r in g]\n",
+        (f"{VERIFY_TESTS}::test_records_pinned_for_small_window",),
     ),
     # the vulnerability state: only-parent sets by counting, gains from the balls
     Mutant(

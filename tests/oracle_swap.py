@@ -11,10 +11,11 @@ package's bitset kernels. This script rebuilds each of them with the
 per-source BFS of tests/closeness_reference.py in place of those kernels:
 
 * the default sweep, verify.run_all at jobs=1 with verify.graph_closeness
-  and verify._total_closeness swapped for the reference, and
-  verify._line_closeness for the reference on the built line graph, must
-  write records.csv and records.json with the hashes in bench/oracle.py
-  (BASELINE_SHA256);
+  swapped for the reference, and verify._closeness_totals, the shared
+  traversal, for two references (the per-source BFS of the graph for
+  C(G), and of its built line graph for the line total and the picked
+  edges), must write records.csv and records.json with the hashes in
+  bench/oracle.py (BASELINE_SHA256);
 * with --deep, the same swap on the deep sweep, every window value at
   2x its default, at jobs=2, must give tests/data/records-deep.sha256
   instead, and nothing else is checked;
@@ -48,11 +49,15 @@ import closeness_reference  # noqa: E402
 import oracle  # noqa: E402
 import vuln_reference  # noqa: E402
 from closegraph import cli, verify  # noqa: E402
+from closegraph.dyadic import Dyadic  # noqa: E402
 from closegraph.graph import parse_edgelist  # noqa: E402
 
 
-def reference_total(g):
-    return closeness_reference.graph_closeness(g).total
+def reference_totals(g, line=True, picks=()):
+    """graph._closeness_totals(g, line, picks) by the per-source BFS of g
+    and of its built line graph."""
+    line_total, values = closeness_reference.line_closeness(g, picks) if line else (Dyadic(0), [])
+    return closeness_reference.graph_closeness(g).total, line_total, values
 
 
 def swept(pins, window, jobs):
@@ -60,8 +65,7 @@ def swept(pins, window, jobs):
     digest}, of the sweep over window with the references swapped in; the
     forked workers of jobs > 1 inherit the swap."""
     verify.graph_closeness = closeness_reference.graph_closeness
-    verify._total_closeness = reference_total
-    verify._line_closeness = closeness_reference.line_closeness
+    verify._closeness_totals = reference_totals
     records = verify.run_all(window, jobs=jobs)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)

@@ -1,10 +1,9 @@
 """The bitset BFS traversals against their references: the multi-source
 kernel against the per-source BFS, the balls against balls read off
 per-source BFS distances, and the lane-parallel deletion sums against
-the per-source BFS on each explicitly cut graph; line-graph closeness
-read off the root graph against the per-source BFS of the built line
-graph; and the totals read off level counts against the per-vertex
-kernel."""
+the per-source BFS on each explicitly cut graph; and the shared
+traversal's totals, C(G) and the line-graph closeness read off the root
+graph, against the per-source BFS of G and of the built line graph."""
 
 import itertools
 from fractions import Fraction
@@ -274,7 +273,7 @@ def test_a_ball_that_skips_a_level_stays_pending(monkeypatch, direction):
     want = _canonical(closeness_reference.graph_closeness(GAP))
     _force(monkeypatch, direction)
     assert _canonical(graph_closeness(GAP)) == want
-    assert graph._total_closeness(GAP).canonical() == want[1]
+    assert_totals_match_references(GAP, [(3, 4)])
 
 
 @DIRECTIONS
@@ -286,7 +285,7 @@ def test_a_disconnected_graph_ends_when_no_ball_grows(monkeypatch, direction):
     want = _reference_deletion_sums(g.adj, edits)
     _force(monkeypatch, direction)
     assert_matches_reference(g)
-    assert graph._total_closeness(g) == graph_closeness(g).total
+    assert_totals_match_references(g, [(0, 1), (6, 7)])
     assert graph._balls(g.adj) == _reference_balls(g)
     assert graph._deletion_sums(g.adj, edits) == want
 
@@ -390,14 +389,15 @@ def _from_every_vertex(g):
     return g.adj, [1 << v for v in range(n)], (1 << n) - 1, None, None
 
 
-def _from_every_edge(g):
-    """The lanes of graph._line_closeness: one per edge, seeded at both
-    ends."""
+def _from_every_lane(g, vertices=True):
+    """The lanes of graph._closeness_totals: one per vertex, seeded at it,
+    unless vertices is false, then one per edge, seeded at both ends."""
+    lanes = [(v, v) for v in range(g.order) if vertices] + list(g.edges())
     seed = [0] * g.order
-    for i, (u, v) in enumerate(g.edges()):
+    for i, (u, v) in enumerate(lanes):
         seed[u] |= 1 << i
         seed[v] |= 1 << i
-    return g.adj, seed, (1 << g.edge_count) - 1, None, None
+    return g.adj, seed, (1 << len(lanes)) - 1, None, None
 
 
 def _reference_levels(adj, seed, full, keep, gates):
@@ -435,10 +435,12 @@ def _reference_levels(adj, seed, full, keep, gates):
     _from_every_vertex(generate(FamilySpec("lollipop", 6, 10))),
     _from_every_vertex(_union(generate(FamilySpec("tadpole", 5, 6)), generate(FamilySpec("star", 4)))),
     _from_every_vertex(line_graph(generate(FamilySpec("lollipop", 8, 12)))[0]),
-    _from_every_edge(_union(generate(FamilySpec("lollipop", 6, 10)), generate(FamilySpec("star", 5)))),
+    _from_every_lane(_union(generate(FamilySpec("lollipop", 6, 10)), generate(FamilySpec("star", 5))),
+                     vertices=False),
+    _from_every_lane(_union(generate(FamilySpec("lollipop", 6, 10)), generate(FamilySpec("star", 5)))),
     _cut_cycle(), _gated_bridge(),
 ], ids=["dense", "path", "path-and-clique", "lollipop", "union", "line-lollipop", "edge-lanes",
-        "cut-cycle", "gated-bridge"])
+        "vertex-and-edge-lanes", "cut-cycle", "gated-bridge"])
 def test_levels_yield_the_balls_of_each_distance(run):
     """Each level's balls against a BFS per bit, and the loop ends on the
     last level on which a ball grows."""
@@ -482,8 +484,8 @@ def test_each_direction_alone_matches_the_references(direction, case):
         assert graph._deletion_sums(g.adj, edits) == want, (g.order, list(g.edges()), edits)
 
 
-# -- line-graph closeness read off the root graph, against the per-source
-# BFS of the built line graph; and totals read off level counts -------------
+# -- the shared traversal: C(G), and line-graph closeness read off the root
+# graph, against the per-source BFS of G and of the built line graph --------
 
 def _edges_of(g):
     return g.order, list(g.edges())
@@ -550,46 +552,65 @@ def _picks(g, data):
     return [data.draw(st.sampled_from(edges))] if edges else []
 
 
-def assert_line_closeness_matches_reference(g, picks):
-    total, values = graph._line_closeness(g, picks)
-    want_total, want_values = closeness_reference.line_closeness(g, picks)
-    assert (total.canonical(), [v.canonical() for v in values]) == (
-        want_total.canonical(), [v.canonical() for v in want_values]), (g.order, list(g.edges()), picks)
+def assert_totals_match_references(g, picks):
+    """graph._closeness_totals(g, picks=picks) against the per-source BFS
+    of g and of its built line graph; and without edge lanes, C(g) alone."""
+    want_line, want_values = closeness_reference.line_closeness(g, picks)
+    want = closeness_reference.graph_closeness(g).total, want_line, want_values
+    canonical = lambda t: (t[0].canonical(), t[1].canonical(), [v.canonical() for v in t[2]])
+    where = (g.order, list(g.edges()), picks)
+    assert canonical(graph._closeness_totals(g, picks=picks)) == canonical(want), where
+    assert canonical(graph._closeness_totals(g, line=False)) == canonical((want[0], Dyadic(0), [])), where
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
 @settings(max_examples=100, deadline=None)
 @given(g=LINE_ROOTS, data=st.data())
 def test_line_closeness_matches_the_built_line_graph(block, g, data):
-    """The total and one edge's closeness, in one block of every edge and
-    in blocks of one and of three lanes."""
+    """C(g), C(L(g)) and one edge's closeness in L(g), in one block of
+    every lane and in blocks of one and of three lanes, on the root graphs
+    and on their disjoint unions with isolated vertices, edgeless graphs
+    and K_1 among them."""
     picks = _picks(g, data)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph, "_width", lambda n: block)
-        assert_line_closeness_matches_reference(g, picks)
+        assert_totals_match_references(g, picks)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_blocks_of_vertex_lanes_edge_lanes_and_both(monkeypatch, width):
+    """A lollipop beside a path and three isolated vertices, 13 vertices
+    and 14 edges, in blocks of two to five lanes: the first blocks hold
+    vertex lanes only, the last ones edge lanes only, and since no width
+    divides 13, one block holds both."""
+    g = _union(generate(FamilySpec("lollipop", 5, 2)), generate(FamilySpec("path", 3)))
+    kinds = {(lo < g.order, lo + width > g.order) for lo in range(0, g.order + g.edge_count, width)}
+    assert (g.order, g.edge_count) == (13, 14) and kinds == {(True, False), (True, True), (False, True)}
+    monkeypatch.setattr(graph, "_width", lambda n: width)
+    assert_totals_match_references(g, list(g.edges()))
 
 
 @pytest.mark.parametrize("direction", ["push", "pull"])
 @settings(max_examples=60, deadline=None)
 @given(g=LINE_ROOTS, data=st.data())
 def test_line_closeness_by_each_plain_loop(direction, g, data):
-    """The readout on the balls of each plain loop, in blocks of three
-    lanes: it must not lean on the kernel's shortcuts."""
+    """Both readouts on the balls of each plain loop, in blocks of three
+    lanes: they must not lean on the kernel's shortcuts."""
     picks = _picks(g, data)
     with pytest.MonkeyPatch.context() as mp:
         _force(mp, direction)
         mp.setattr(graph, "_width", lambda n: 3)
-        assert_line_closeness_matches_reference(g, picks)
+        assert_totals_match_references(g, picks)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_line_closeness_of_every_tiny_graph(order):
-    """Every graph of orders 0 to 4, every edge picked."""
+    """Every graph of orders 0 to 4, every edge picked, in one block."""
     pairs = list(itertools.combinations(range(order), 2))
     for k in range(len(pairs) + 1):
         for edges in itertools.combinations(pairs, k):
-            assert_line_closeness_matches_reference(build(order, list(edges)), list(edges))
+            assert_totals_match_references(build(order, list(edges)), list(edges))
 
 
 @pytest.mark.parametrize("leaves", [3, 4, 5])
@@ -605,7 +626,7 @@ def test_line_closeness_of_stars_joined_by_a_path(monkeypatch, leaves):
               + [(end, v) for v in range(end + 1, end + leaves)])
     monkeypatch.setattr(graph, "_width", lambda n: 4)
     lg, origins = line_graph(g)
-    total, values = graph._line_closeness(g, [o.source for o in origins])
+    _, total, values = graph._closeness_totals(g, picks=[o.source for o in origins])
     assert list(map(_fraction, values)) == _oracle(lg)
     assert _fraction(total) == sum(_oracle(lg))
 
@@ -616,17 +637,20 @@ def test_line_closeness_of_a_lollipop_in_blocks(monkeypatch):
     tail's end one level at a time."""
     g = generate(FamilySpec("lollipop", 8, 12))
     monkeypatch.setattr(graph, "_width", lambda n: 5)
-    assert_line_closeness_matches_reference(g, [(1, 7), (0, 8), (18, 19)])
+    assert_totals_match_references(g, [(1, 7), (0, 8), (18, 19)])
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
 @settings(max_examples=100, deadline=None)
 @given(g=st.one_of(ANY_SMALL_GRAPH, shuffled(st.one_of(spider(), theta(), even_cycle_with_chord()))))
 def test_totals_match_the_per_vertex_kernel(block, g):
-    """On every shape of tests/strategies.py, whole and in blocks of one
-    and three sources."""
+    """C(g) by the shared traversal, with and without edge lanes, on every
+    shape of tests/strategies.py, whole and in blocks of one and three
+    lanes."""
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph, "_BLOCK", block)
             mp.setattr(graph, "_BLOCK_BITS", 0)
-        assert graph._total_closeness(g) == graph_closeness(g).total, (g.order, list(g.edges()))
+        want = graph_closeness(g).total
+        for line in (False, True):
+            assert graph._closeness_totals(g, line)[0] == want, (g.order, list(g.edges()), line)

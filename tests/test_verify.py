@@ -8,6 +8,7 @@ from closegraph.dyadic import Dyadic
 from closegraph.generators import FAMILIES
 from closegraph.verify import (
     _WINDOW_KEYS,
+    _family,
     SweepWindow,
     VerificationRecord,
     build_tasks,
@@ -182,6 +183,28 @@ def test_family_filter():
         if family not in bridged:
             want |= {f"rule_bridge:C_{family}", f"rule_line_bridge:CL_{family}"}
         assert {r.check for r in records} == want, family
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_records_same_at_each_jobs_value(family, small_records):
+    """One family's sweep writes the same records at jobs=1 and jobs=2,
+    every C_ record before every CL_ record, in the order the full sweep
+    writes them."""
+    serial = run_all(window=SMALL, seed=99, families={family}, jobs=1)
+    parallel = run_all(window=SMALL, seed=99, families={family}, jobs=2)
+    assert [r.to_row() for r in parallel] == [r.to_row() for r in serial]
+    kinds = [r.check for r in serial if r.check in (f"C_{family}", f"CL_{family}")]
+    assert kinds == sorted(kinds, key=lambda check: check.startswith("CL_")) and f"CL_{family}" in kinds
+    full = [r.to_row() for r in small_records if r.check in (f"C_{family}", f"CL_{family}")]
+    assert [r.to_row() for r in serial if r.check in (f"C_{family}", f"CL_{family}")] == full
+
+
+def test_path_1_has_a_graph_record_and_no_line_record():
+    (record,) = _family("path", 1, None)
+    assert (record.check, record.p1, record.formula, record.passed) == ("C_path", 1, Dyadic(0), True)
+    records = run_all(window=SweepWindow(basic_max=2), seed=99, families={"path"})
+    assert [(r.check, r.p1) for r in records if r.check in ("C_path", "CL_path")] == [
+        ("C_path", 1), ("C_path", 2), ("CL_path", 2)]
 
 
 def test_records_pinned_for_small_window(tmp_path):
