@@ -273,11 +273,9 @@ def _source_levels(g: Graph):
         yield _levels(g.adj, ball, (1 << (hi - lo)) - 1)
 
 
-def _closeness_totals(g: Graph, line: bool = True, picks=()) -> tuple[Dyadic, Dyadic, list[Dyadic]]:
-    """C(g), the total closeness of L(g) and the closeness in L(g) of
-    each edge (c, d), c < d, of picks, off one run of _levels on g.adj
-    per block of _width(n) lanes; line=False drops the edge lanes (the
-    line total reads 0).
+def _closeness_totals(g: Graph) -> tuple[Dyadic, Dyadic]:
+    """C(g) and C(L(g)), off one run of _levels on g.adj per block of
+    _width(n) lanes.
 
     A vertex lane is seeded at its vertex, an edge lane (u, v) at u and
     v; a block's vertex lanes are its low bits. After level k, ball[v]
@@ -286,16 +284,15 @@ def _closeness_totals(g: Graph, line: bool = True, picks=()) -> tuple[Dyadic, Dy
     in L(g), ball[c] | ball[d] holds the edge lanes within distance k + 1
     of f = (c, d) in L(g), the seed being level 0. Each readout's
     popcount sums s_k count its pairs within distance k, the line
-    readouts' one level behind, and Horner's rule sums
+    readout's one level behind, and Horner's rule sums
     (s_k - s_(k-1)) * 2**-k, s_0 being the readout's lanes in the block.
     """
     n = g.order
-    edges = list(g.edges()) if line else []
+    edges = list(g.edges())
     lanes = [(v, v) for v in range(n)] + edges
-    # line readouts' ends: the total's, then each pick's
-    ends = [([u for u, _ in edges], [v for _, v in edges]), *(([c], [d]) for c, d in picks)]
+    cs, ds = [u for u, _ in edges], [v for _, v in edges]
     width = _width(n)
-    total, values = Dyadic(0), [Dyadic(0)] * len(ends)
+    total = line_total = Dyadic(0)
     for lo in range(0, len(lanes), width):
         block = lanes[lo : lo + width]
         seed = [0] * n
@@ -305,21 +302,31 @@ def _closeness_totals(g: Graph, line: bool = True, picks=()) -> tuple[Dyadic, Dy
         low = min(max(n - lo, 0), len(block))
         shift = itertools.repeat(low)
         balls = (ball for _, ball in _levels(g.adj, seed, (1 << len(block)) - 1))
-        num, nums = 0, [0] * len(ends)
-        seen, line_seen = low, [len(block) - low, *(int(f in block) for f in picks)]
+        num = line_num = 0
+        seen, line_seen = low, len(block) - low
         for depth, ball in enumerate(itertools.chain([seed], balls)):
             size = sum(map(int.bit_count, ball))
-            if low < len(block):  # else every line readout reads 0
+            if low < len(block):  # else the line readout reads 0
                 tops = list(map(operator.rshift, ball, shift))  # edge-lane bits
                 size -= sum(map(int.bit_count, tops))
-                for i, (cs, ds) in enumerate(ends):
-                    ors = map(operator.or_, map(tops.__getitem__, cs), map(tops.__getitem__, ds))
-                    lsize = sum(map(int.bit_count, ors))
-                    nums[i], line_seen[i] = (nums[i] << 1) + lsize - line_seen[i], lsize
+                ors = map(operator.or_, map(tops.__getitem__, cs), map(tops.__getitem__, ds))
+                lsize = sum(map(int.bit_count, ors))
+                line_num, line_seen = (line_num << 1) + lsize - line_seen, lsize
             num, seen = (num << 1) + size - seen, size
         total += Dyadic(num, depth)
-        values = [value + Dyadic(num, depth + 1) for value, num in zip(values, nums)]
-    return total, values[0], values[1:]
+        line_total += Dyadic(line_num, depth + 1)
+    return total, line_total
+
+
+def _edge_closeness(g: Graph, f: tuple[int, int]) -> Dyadic:
+    """Closeness in L(g) of the edge f = (c, d) of g, c < d: another edge
+    (u, v) is 1 + min(near[u], near[v]) away, as in _closeness_totals."""
+    c, d = f
+    near = list(map(min, bfs_distances(g, c), bfs_distances(g, d)))
+    # UNREACHABLE is -1, so an edge out of f's component maps to 0 and drops out
+    return _closeness_from_distances(
+        [1 + min(near[u], near[v]) for u, v in g.edges() if (u, v) != f]
+    )
 
 
 def _balls(adj: list[list[int]]) -> list[list[int]]:

@@ -57,7 +57,7 @@ from .generators import (
     gen_random_connected,
     generate,
 )
-from .graph import Graph, _closeness_totals, _parse_int, graph_closeness
+from .graph import Graph, _closeness_totals, _edge_closeness, _parse_int, graph_closeness
 from .transforms import bridge_join, coalesce_join, shadow
 
 __all__ = [
@@ -201,7 +201,7 @@ def _eval_task(task) -> list[VerificationRecord]:
 
 def _family(fam: str, p1: int, p2: int | None):
     spec = FamilySpec(fam, p1, p2)
-    total, line_total, _ = _closeness_totals(generate(spec))
+    total, line_total = _closeness_totals(generate(spec))
     records = [_record(f"C_{fam}", p1, p2, closed_form(spec), total)]
     if (fam, p1) != ("path", 1):  # L(P_1) is empty
         records.append(_record(f"CL_{fam}", p1, p2, closed_form_line(spec), line_total))
@@ -217,7 +217,8 @@ def _bridged(case: str, n: int):
     fam, attach, _ = BRIDGED_CASES[case]
     base = generate(FamilySpec(fam, n))
     g, _ = bridge_join(base, attach, Graph(1, [[]], ["B"]), 0)
-    _, total, (pendant,) = _closeness_totals(g, picks=[(attach, g.order - 1)])
+    _, total = _closeness_totals(g)
+    pendant = _edge_closeness(g, (attach, g.order - 1))
     return [
         _record(f"CLB_{case}", n, None, values.line_closeness, total),
         _record(f"CB_{case}", n, None, values.bridge_vertex_closeness, pendant),
@@ -225,9 +226,9 @@ def _bridged(case: str, n: int):
 
 
 def _shadow_of(check: str, p1: int, p2: int | None, g: Graph):
-    predicted = shadow_closeness(_closeness_totals(g, line=False)[0], g.order)
+    predicted = shadow_closeness(graph_closeness(g).total, g.order)
     sg, _ = shadow(g)
-    return [_record(check, p1, p2, predicted, _closeness_totals(sg, line=False)[0])]
+    return [_record(check, p1, p2, predicted, graph_closeness(sg).total)]
 
 
 def _shadow_instance(fam: str, n: int):
@@ -266,11 +267,11 @@ def _rule_random(idx: int, seed: int, max_order: int):
     return [
         _record(
             "rule_bridge:random", idx, both,
-            compose_bridge(*values), _closeness_totals(bridged, line=False)[0],
+            compose_bridge(*values), graph_closeness(bridged).total,
         ),
         _record(
             "rule_coalesce:random", idx, both,
-            compose_coalesce(*values), _closeness_totals(merged, line=False)[0],
+            compose_coalesce(*values), graph_closeness(merged).total,
         ),
     ]
 

@@ -5,7 +5,8 @@ used before the multi-source bitset BFS: ``vertex_closeness`` (one BFS)
 for every vertex, summed as Dyadics. The fast kernel must reproduce its
 per-vertex values and total exactly. ``line_closeness`` is the same BFS
 on the built line graph, which ``closegraph.graph._closeness_totals``
-reads off the root graph instead.
+(the total) and ``closegraph.graph._edge_closeness`` (one edge) read off
+the root graph instead.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ def graph_closeness(g: Graph) -> ClosenessReport:
 
 
 def line_closeness(g: Graph, picks=()) -> tuple[Dyadic, list[Dyadic]]:
-    """The line readouts of graph._closeness_totals(g, picks=picks): the
-    total closeness of line_graph(g) and the closeness of the line vertex
-    of each edge in picks."""
+    """The total closeness of line_graph(g), which graph._closeness_totals(g)
+    reads, and the closeness of the line vertex of each edge in picks,
+    which graph._edge_closeness(g, f) reads."""
     lg, origins = line_graph(g)
     report = graph_closeness(lg)
     index = {o.source: k for k, o in enumerate(origins)}

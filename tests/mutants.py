@@ -223,6 +223,19 @@ MUTANTS = (
         "map(operator.or_, map(ball.__getitem__, cs), map(ball.__getitem__, ds))",
         (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
     ),
+    # one edge's closeness in L(G), read off the BFS from each of its ends
+    Mutant(
+        "edge-closeness-reads-one-end-only", GRAPH,
+        "list(map(min, bfs_distances(g, c), bfs_distances(g, d)))",
+        "bfs_distances(g, c)",
+        (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
+    ),
+    Mutant(
+        "edge-closeness-counts-its-own-edge", GRAPH,
+        " for u, v in g.edges() if (u, v) != f]",
+        " for u, v in g.edges()]",
+        (f"{KERNEL_TESTS}::test_line_closeness_of_every_tiny_graph",),
+    ),
     # totals by level counts
     Mutant(
         "totals-keep-only-the-last-block", GRAPH,

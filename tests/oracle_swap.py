@@ -11,11 +11,14 @@ package's bitset kernels. This script rebuilds each of them with the
 per-source BFS of tests/closeness_reference.py in place of those kernels:
 
 * the default sweep, verify.run_all at jobs=1 with verify.graph_closeness
-  swapped for the reference, and verify._closeness_totals, the shared
+  swapped for the reference, verify._closeness_totals, the shared
   traversal, for two references (the per-source BFS of the graph for
-  C(G), and of its built line graph for the line total and the picked
-  edges), must write records.csv and records.json with the hashes in
-  bench/oracle.py (BASELINE_SHA256);
+  C(G), and of its built line graph for the line total), and
+  verify._edge_closeness, the pendant edge's closeness read off its two
+  ends' BFS, for a BFS from its vertex of the built line graph, must write
+  records.csv and records.json with the hashes in bench/oracle.py
+  (BASELINE_SHA256): no bitset kernel and no line-distance identity
+  writes them;
 * with --deep, the same swap on the deep sweep, every window value at
   2x its default, at jobs=2, must give tests/data/records-deep.sha256
   instead, and nothing else is checked;
@@ -49,15 +52,22 @@ import closeness_reference  # noqa: E402
 import oracle  # noqa: E402
 import vuln_reference  # noqa: E402
 from closegraph import cli, verify  # noqa: E402
-from closegraph.dyadic import Dyadic  # noqa: E402
-from closegraph.graph import parse_edgelist  # noqa: E402
+from closegraph.graph import parse_edgelist, vertex_closeness  # noqa: E402
+from closegraph.transforms import line_graph  # noqa: E402
 
 
-def reference_totals(g, line=True, picks=()):
-    """graph._closeness_totals(g, line, picks) by the per-source BFS of g
-    and of its built line graph."""
-    line_total, values = closeness_reference.line_closeness(g, picks) if line else (Dyadic(0), [])
-    return closeness_reference.graph_closeness(g).total, line_total, values
+def reference_totals(g):
+    """graph._closeness_totals(g) by the per-source BFS of g and of its
+    built line graph."""
+    return closeness_reference.graph_closeness(g).total, closeness_reference.line_closeness(g)[0]
+
+
+def reference_edge_closeness(g, f):
+    """graph._edge_closeness(g, f) by one BFS from f's vertex of the built
+    line graph: the pendant-bridge checks' L(K_n plus a pendant edge)
+    would take one BFS per line vertex, most of the deep sweep's time."""
+    lg, origins = line_graph(g)
+    return vertex_closeness(lg, [o.source for o in origins].index(f))
 
 
 def swept(pins, window, jobs):
@@ -66,6 +76,7 @@ def swept(pins, window, jobs):
     forked workers of jobs > 1 inherit the swap."""
     verify.graph_closeness = closeness_reference.graph_closeness
     verify._closeness_totals = reference_totals
+    verify._edge_closeness = reference_edge_closeness
     records = verify.run_all(window, jobs=jobs)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)

@@ -553,14 +553,15 @@ def _picks(g, data):
 
 
 def assert_totals_match_references(g, picks):
-    """graph._closeness_totals(g, picks=picks) against the per-source BFS
-    of g and of its built line graph; and without edge lanes, C(g) alone."""
+    """graph._closeness_totals(g) against the per-source BFS of g and of
+    its built line graph, and graph._edge_closeness at each edge of picks
+    against the latter."""
     want_line, want_values = closeness_reference.line_closeness(g, picks)
-    want = closeness_reference.graph_closeness(g).total, want_line, want_values
-    canonical = lambda t: (t[0].canonical(), t[1].canonical(), [v.canonical() for v in t[2]])
+    want = closeness_reference.graph_closeness(g).total, want_line
     where = (g.order, list(g.edges()), picks)
-    assert canonical(graph._closeness_totals(g, picks=picks)) == canonical(want), where
-    assert canonical(graph._closeness_totals(g, line=False)) == canonical((want[0], Dyadic(0), [])), where
+    assert [t.canonical() for t in graph._closeness_totals(g)] == [t.canonical() for t in want], where
+    got_values = [graph._edge_closeness(g, f).canonical() for f in picks]
+    assert got_values == [v.canonical() for v in want_values], where
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
@@ -626,7 +627,8 @@ def test_line_closeness_of_stars_joined_by_a_path(monkeypatch, leaves):
               + [(end, v) for v in range(end + 1, end + leaves)])
     monkeypatch.setattr(graph, "_width", lambda n: 4)
     lg, origins = line_graph(g)
-    _, total, values = graph._closeness_totals(g, picks=[o.source for o in origins])
+    _, total = graph._closeness_totals(g)
+    values = [graph._edge_closeness(g, o.source) for o in origins]
     assert list(map(_fraction, values)) == _oracle(lg)
     assert _fraction(total) == sum(_oracle(lg))
 
@@ -644,13 +646,10 @@ def test_line_closeness_of_a_lollipop_in_blocks(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(g=st.one_of(ANY_SMALL_GRAPH, shuffled(st.one_of(spider(), theta(), even_cycle_with_chord()))))
 def test_totals_match_the_per_vertex_kernel(block, g):
-    """C(g) by the shared traversal, with and without edge lanes, on every
-    shape of tests/strategies.py, whole and in blocks of one and three
-    lanes."""
+    """C(g) by the shared traversal, on every shape of tests/strategies.py,
+    whole and in blocks of one and three lanes."""
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(graph, "_BLOCK", block)
             mp.setattr(graph, "_BLOCK_BITS", 0)
-        want = graph_closeness(g).total
-        for line in (False, True):
-            assert graph._closeness_totals(g, line)[0] == want, (g.order, list(g.edges()), line)
+        assert graph._closeness_totals(g)[0] == graph_closeness(g).total, (g.order, list(g.edges()))
